@@ -20,18 +20,16 @@ namespace nox {
 namespace {
 
 RunResult
-runWith(const Config &config, RouterArch arch, double mbps,
+runWith(const SyntheticConfig &base, RouterArch arch, double mbps,
         ArbiterKind arb, int depth, int flits)
 {
-    SyntheticConfig c;
+    SyntheticConfig c = base;
     c.arch = arch;
-    c.pattern = PatternKind::UniformRandom;
     c.injectionMBps = mbps;
     c.packetFlits = flits;
     c.bufferDepth = depth;
     c.sinkBufferDepth = depth;
     c.arbiterKind = arb;
-    bench::applyCommon(config, &c);
     return runSynthetic(c);
 }
 
@@ -51,6 +49,10 @@ main(int argc, char **argv)
     const std::vector<double> loads =
         config.has("rates") ? config.getDoubleList("rates")
                             : std::vector<double>{1000, 2000, 2600};
+    SyntheticConfig base;
+    base.pattern = PatternKind::UniformRandom;
+    bench::applyCommon(config, &base);
+    config.requireAllUsed("bench_ablation");
 
     // --- 1. arbiter flavour in the NoX output arbitration ---
     std::cout << "--- arbiter ablation (NoX, uniform, latency ns) "
@@ -63,7 +65,7 @@ main(int argc, char **argv)
              {ArbiterKind::RoundRobin, ArbiterKind::FixedPriority,
               ArbiterKind::Matrix}) {
             const RunResult r =
-                runWith(config, RouterArch::Nox, mbps, k, 4, 1);
+                runWith(base, RouterArch::Nox, mbps, k, 4, 1);
             row.push_back(r.saturated ? "sat"
                                       : Table::num(r.avgLatencyNs, 2));
         }
@@ -83,7 +85,7 @@ main(int argc, char **argv)
             for (RouterArch a :
                  {RouterArch::SpecAccurate, RouterArch::Nox}) {
                 const RunResult r = runWith(
-                    config, a, mbps, ArbiterKind::RoundRobin, depth,
+                    base, a, mbps, ArbiterKind::RoundRobin, depth,
                     1);
                 row.push_back(r.saturated
                                   ? "sat"
@@ -106,7 +108,7 @@ main(int argc, char **argv)
                                          Table::num(mbps, 0)};
             for (RouterArch a : kAllArchs) {
                 const RunResult r = runWith(
-                    config, a, mbps, ArbiterKind::RoundRobin, 4,
+                    base, a, mbps, ArbiterKind::RoundRobin, 4,
                     flits);
                 row.push_back(r.saturated
                                   ? "sat"
@@ -135,12 +137,10 @@ main(int argc, char **argv)
                       "fragment flit [ns]", "72B reassembled [ns]",
                       "contiguous aborts", "fragmented aborts"});
     for (double mbps : loads) {
-        SyntheticConfig contig;
+        SyntheticConfig contig = base;
         contig.arch = RouterArch::Nox;
-        contig.pattern = PatternKind::UniformRandom;
         contig.injectionMBps = mbps;
         contig.packetFlits = 9;
-        bench::applyCommon(config, &contig);
         const RunResult rc = runSynthetic(contig);
 
         SyntheticConfig frag = contig;
@@ -166,6 +166,5 @@ main(int argc, char **argv)
                  "bandwidth and per-flit latency; the paper keeps "
                  "contiguous wormhole transmission)\n";
 
-    bench::warnUnused(config);
     return 0;
 }

@@ -28,21 +28,15 @@ namespace {
 
 SyntheticConfig
 configFor(bool cmesh, RouterArch arch, double mbps,
-          const Config &config)
+          const SyntheticConfig &base)
 {
-    SyntheticConfig c;
+    SyntheticConfig c = base;
     c.arch = arch;
-    c.pattern = PatternKind::UniformRandom;
     c.injectionMBps = mbps;
-    if (cmesh) {
+    if (cmesh) { // the CMesh geometry overrides width/height from CLI
         c.width = 4;
         c.height = 4;
         c.concentration = 4;
-    }
-    bench::applyCommon(config, &c);
-    if (cmesh) { // applyCommon may override width/height from CLI
-        c.width = 4;
-        c.height = 4;
     }
     return c;
 }
@@ -101,6 +95,10 @@ main(int argc, char **argv)
         config.has("rates")
             ? config.getDoubleList("rates")
             : std::vector<double>{300, 500, 800, 1100, 1400, 1800};
+    SyntheticConfig base;
+    base.pattern = PatternKind::UniformRandom;
+    bench::applyCommon(config, &base);
+    config.requireAllUsed("bench_cmesh_radix");
 
     for (bool cmesh : {false, true}) {
         std::cout << "--- "
@@ -115,7 +113,7 @@ main(int argc, char **argv)
             double best_rival = 1e300;
             for (RouterArch arch : kAllArchs) {
                 results[arch] =
-                    runSynthetic(configFor(cmesh, arch, mbps, config));
+                    runSynthetic(configFor(cmesh, arch, mbps, base));
                 const RunResult &r = results[arch];
                 row.push_back(r.saturated
                                   ? "sat"
@@ -140,6 +138,5 @@ main(int argc, char **argv)
     std::cout << "(a shrinking/negative 'NoX vs best rival' column on "
                  "the CMesh confirms §8's hypothesis)\n";
 
-    bench::warnUnused(config);
     return 0;
 }

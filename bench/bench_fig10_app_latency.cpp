@@ -41,6 +41,9 @@ main(int argc, char **argv)
     const std::uint64_t seed = config.getUint("seed", 99);
 
     const auto archs = bench::archsFrom(config);
+    const auto workloads = bench::workloadsFrom(config);
+    const bench::Outputs out(config);
+    config.requireAllUsed("bench_fig10_app_latency");
     std::vector<std::string> headers{"workload", "GB/s/node", "ctrl%"};
     for (RouterArch a : archs)
         headers.push_back(archName(a));
@@ -49,7 +52,7 @@ main(int argc, char **argv)
     std::map<RouterArch, double> latency_sum;
     int workload_count = 0;
 
-    for (const auto &name : bench::workloadsFrom(config)) {
+    for (const auto &name : workloads) {
         CoherenceTraceGenerator gen(params, findWorkload(name), seed);
         const Trace trace = gen.generate(horizon, warmup);
         const double load = trace.bytesPerNsPerNode(64, 0) +
@@ -79,7 +82,7 @@ main(int argc, char **argv)
               << (report_total ? "total" : "network")
               << " latency [ns] ---\n";
     table.print(std::cout);
-    bench::writeCsv(config, "fig10_app_latency", table);
+    bench::writeCsv(out, "fig10_app_latency", table);
 
     std::cout << "\nmean over workloads: ";
     for (RouterArch a : archs) {
@@ -89,6 +92,5 @@ main(int argc, char **argv)
     }
     std::cout << '\n';
 
-    bench::warnUnused(config);
     return 0;
 }

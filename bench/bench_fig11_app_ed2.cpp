@@ -36,6 +36,9 @@ main(int argc, char **argv)
     const std::uint64_t seed = config.getUint("seed", 99);
 
     const auto archs = bench::archsFrom(config);
+    const auto workloads = bench::workloadsFrom(config);
+    const bench::Outputs out(config);
+    config.requireAllUsed("bench_fig11_app_ed2");
     std::vector<std::string> headers{"workload"};
     for (RouterArch a : archs) {
         headers.push_back(std::string(archName(a)) + " ED2");
@@ -47,7 +50,7 @@ main(int argc, char **argv)
     std::map<RouterArch, double> log_ratio_sum;
     int workload_count = 0;
 
-    for (const auto &name : bench::workloadsFrom(config)) {
+    for (const auto &name : workloads) {
         CoherenceTraceGenerator gen(params, findWorkload(name), seed);
         const Trace trace = gen.generate(horizon, warmup);
 
@@ -81,7 +84,7 @@ main(int argc, char **argv)
 
     std::cout << "--- Figure 11: average packet ED^2 [pJ*ns^2] ---\n";
     table.print(std::cout);
-    bench::writeCsv(config, "fig11_app_ed2", table);
+    bench::writeCsv(out, "fig11_app_ed2", table);
 
     if (workload_count > 0) {
         std::cout << "\nNoX ED^2 advantage (geomean, positive = NoX "
@@ -104,6 +107,5 @@ main(int argc, char **argv)
         }
     }
 
-    bench::warnUnused(config);
     return 0;
 }

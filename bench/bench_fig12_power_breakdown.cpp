@@ -41,6 +41,11 @@ main(int argc, char **argv)
         archs = {RouterArch::NonSpeculative, RouterArch::SpecAccurate,
                  RouterArch::Nox};
     }
+    SyntheticConfig base;
+    base.pattern = PatternKind::UniformRandom;
+    base.injectionMBps = rate;
+    bench::applyCommon(config, &base);
+    config.requireAllUsed("bench_fig12_power_breakdown");
 
     Table table({"component", "NonSpec [W]", "Spec-Accurate [W]",
                  "NoX [W]"});
@@ -50,11 +55,8 @@ main(int argc, char **argv)
     std::map<RouterArch, bool> saturated;
 
     for (RouterArch arch : archs) {
-        SyntheticConfig c;
+        SyntheticConfig c = base;
         c.arch = arch;
-        c.pattern = PatternKind::UniformRandom;
-        c.injectionMBps = rate;
-        bench::applyCommon(config, &c);
         const RunResult r = runSynthetic(c);
         breakdowns[arch] = r.energy;
         power[arch] = r.powerW;
@@ -131,6 +133,5 @@ main(int argc, char **argv)
         }
     }
 
-    bench::warnUnused(config);
     return 0;
 }

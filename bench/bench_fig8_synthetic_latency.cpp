@@ -33,7 +33,9 @@ struct PatternSummary
 PatternSummary
 runPattern(PatternKind pattern, bool self_similar,
            const std::vector<RouterArch> &archs,
-           const std::vector<double> &rates, const Config &config,
+           const std::vector<double> &rates,
+           const SyntheticConfig &base, bool breakdown,
+           const bench::Outputs &out,
            std::vector<bench::PerfRecord> *perf)
 {
     std::cout << "--- Figure 8: "
@@ -46,10 +48,9 @@ runPattern(PatternKind pattern, bool self_similar,
         headers.push_back(archName(a));
     Table table(headers);
 
-    // breakdown=true: run with latency provenance and append a
+    // breakdown: run with latency provenance and append a
     // per-(rate, arch) attribution table (mean cycles per packet per
     // component — columns sum to the mean latency in cycles).
-    const bool breakdown = config.getBool("breakdown", false);
     std::vector<std::string> bheaders{"MB/s/node", "arch"};
     for (std::size_t i = 0; i < kNumLatencyComponents; ++i)
         bheaders.push_back(
@@ -63,12 +64,11 @@ runPattern(PatternKind pattern, bool self_similar,
     for (double rate : rates) {
         std::vector<std::string> row{Table::num(rate, 0)};
         for (RouterArch arch : archs) {
-            SyntheticConfig c;
+            SyntheticConfig c = base;
             c.arch = arch;
             c.pattern = pattern;
             c.selfSimilar = self_similar;
             c.injectionMBps = rate;
-            bench::applyCommon(config, &c);
             c.obs.prov.enabled = breakdown;
             const RunResult r = runSynthetic(c);
             if (breakdown && !r.saturated &&
@@ -108,7 +108,7 @@ runPattern(PatternKind pattern, bool self_similar,
         table.addRow(std::move(row));
     }
     table.print(std::cout);
-    bench::writeCsv(config, std::string("fig8_") +
+    bench::writeCsv(out, std::string("fig8_") +
                                 (self_similar ? "selfsimilar"
                                               : patternName(pattern)),
                     table);
@@ -116,7 +116,7 @@ runPattern(PatternKind pattern, bool self_similar,
         std::cout << "\nlatency attribution [mean cycles/packet] "
                      "(components sum to the mean latency):\n";
         btable.print(std::cout);
-        bench::writeCsv(config,
+        bench::writeCsv(out,
                         std::string("fig8_") +
                             (self_similar ? "selfsimilar"
                                           : patternName(pattern)) +
@@ -156,13 +156,18 @@ main(int argc, char **argv)
     const auto archs = bench::archsFrom(config);
     const auto rates = bench::ratesFrom(config);
     const auto patterns = bench::patternsFrom(config);
+    const bool breakdown = config.getBool("breakdown", false);
+    SyntheticConfig base;
+    bench::applyCommon(config, &base);
+    const bench::Outputs out(config);
+    config.requireAllUsed("bench_fig8_synthetic_latency");
 
     double best_nox_gain = 0.0;
     const char *best_pattern = "";
     std::vector<bench::PerfRecord> perf;
     for (PatternKind p : patterns) {
-        const auto s =
-            runPattern(p, false, archs, rates, config, &perf);
+        const auto s = runPattern(p, false, archs, rates, base,
+                                  breakdown, out, &perf);
         if (s.saturationMBps.count(RouterArch::Nox)) {
             double other = 0.0;
             for (const auto &[a, sat] : s.saturationMBps) {
@@ -181,15 +186,14 @@ main(int argc, char **argv)
         }
     }
     // The paper's eighth pattern: self-similar Pareto traffic.
-    runPattern(PatternKind::UniformRandom, true, archs, rates,
-               config, &perf);
+    runPattern(PatternKind::UniformRandom, true, archs, rates, base,
+               breakdown, out, &perf);
 
     std::cout << "NoX best saturation-throughput gain over the best "
                  "other architecture: "
               << Table::num(best_nox_gain * 100.0, 1) << "% ("
               << best_pattern << ")  [paper: up to 9.9%]\n";
 
-    bench::writePerfJson(config, "fig8_synthetic_latency", perf);
-    bench::warnUnused(config);
+    bench::writePerfJson(out, "fig8_synthetic_latency", perf);
     return 0;
 }

@@ -19,7 +19,8 @@ namespace {
 void
 runPattern(PatternKind pattern, bool self_similar,
            const std::vector<RouterArch> &archs,
-           const std::vector<double> &rates, const Config &config)
+           const std::vector<double> &rates,
+           const SyntheticConfig &base, const bench::Outputs &out)
 {
     std::cout << "--- Figure 9: "
               << (self_similar ? "selfsimilar"
@@ -34,12 +35,11 @@ runPattern(PatternKind pattern, bool self_similar,
     for (double rate : rates) {
         std::vector<std::string> row{Table::num(rate, 0)};
         for (RouterArch arch : archs) {
-            SyntheticConfig c;
+            SyntheticConfig c = base;
             c.arch = arch;
             c.pattern = pattern;
             c.selfSimilar = self_similar;
             c.injectionMBps = rate;
-            bench::applyCommon(config, &c);
             const RunResult r = runSynthetic(c);
             row.push_back(r.saturated ? "sat"
                                       : Table::num(r.ed2, 0));
@@ -47,7 +47,7 @@ runPattern(PatternKind pattern, bool self_similar,
         table.addRow(std::move(row));
     }
     table.print(std::cout);
-    bench::writeCsv(config, std::string("fig9_") +
+    bench::writeCsv(out, std::string("fig9_") +
                                 (self_similar ? "selfsimilar"
                                               : patternName(pattern)),
                     table);
@@ -71,11 +71,15 @@ main(int argc, char **argv)
 
     const auto archs = bench::archsFrom(config);
     const auto rates = bench::ratesFrom(config);
-    for (PatternKind p : bench::patternsFrom(config))
-        runPattern(p, false, archs, rates, config);
-    runPattern(PatternKind::UniformRandom, true, archs, rates,
-               config);
+    const auto patterns = bench::patternsFrom(config);
+    SyntheticConfig base;
+    bench::applyCommon(config, &base);
+    const bench::Outputs out(config);
+    config.requireAllUsed("bench_fig9_synthetic_ed2");
 
-    bench::warnUnused(config);
+    for (PatternKind p : patterns)
+        runPattern(p, false, archs, rates, base, out);
+    runPattern(PatternKind::UniformRandom, true, archs, rates, base,
+               out);
     return 0;
 }

@@ -30,11 +30,8 @@ struct AnatomyPoint
 };
 
 AnatomyPoint
-measure(double mbps, int packet_flits, const Config &config)
+measure(double mbps, int packet_flits, Cycle cycles)
 {
-    const Cycle warm = config.getUint("warmup", 5000);
-    const Cycle run = config.getUint("measure", 20000);
-
     AnatomyPoint point;
     // NoX network.
     {
@@ -49,7 +46,7 @@ measure(double mbps, int packet_flits, const Config &config)
             net->addSource(std::make_unique<BernoulliSource>(
                 n, pattern, fpc, packet_flits, seeder.next()));
         }
-        net->run(warm + run);
+        net->run(cycles);
         for (NodeId n = 0; n < net->numNodes(); ++n) {
             const auto &r =
                 static_cast<const NoxRouter &>(net->router(n));
@@ -79,7 +76,7 @@ measure(double mbps, int packet_flits, const Config &config)
             net->addSource(std::make_unique<BernoulliSource>(
                 n, pattern, fpc, packet_flits, seeder.next()));
         }
-        net->run(warm + run);
+        net->run(cycles);
         point.specMisspecs = net->totalEnergyEvents().misspecCycles;
     }
     return point;
@@ -101,6 +98,10 @@ main(int argc, char **argv)
     const std::vector<double> loads =
         config.has("rates") ? config.getDoubleList("rates")
                             : std::vector<double>{500, 1500, 2500};
+    // Counters accumulate over warm-up and measurement alike.
+    const Cycle cycles = config.getUint("warmup", 5000) +
+                         config.getUint("measure", 20000);
+    config.requireAllUsed("bench_nox_anatomy");
 
     for (int flits : {1, 9}) {
         std::cout << "--- " << flits << "-flit packets ---\n";
@@ -108,7 +109,7 @@ main(int argc, char **argv)
                  "aborts", "presched", "spec-misspec",
                  "recovery%", "scheduled%", "locked%"});
         for (double mbps : loads) {
-            const AnatomyPoint p = measure(mbps, flits, config);
+            const AnatomyPoint p = measure(mbps, flits, cycles);
             const double mode_total = static_cast<double>(
                 p.stats.recoveryCycles + p.stats.scheduledCycles +
                 p.stats.lockedCycles);
@@ -137,6 +138,5 @@ main(int argc, char **argv)
     std::cout << "(aborts should be far rarer than the speculative "
                  "router's misspeculations — §2.7)\n";
 
-    bench::warnUnused(config);
     return 0;
 }

@@ -118,6 +118,8 @@ main(int argc, char **argv)
         c.obs.digest.enabled = v.digest;
         configs.push_back(c);
     }
+    const bench::Outputs out(config);
+    config.requireAllUsed("bench_obs_overhead");
 
     // Untimed warm-up pass, then reps interleaved round-robin across
     // variants (the minimum is the least-noisy estimator of the true
@@ -192,8 +194,7 @@ main(int argc, char **argv)
         perf.push_back(std::move(rec));
     }
     t.print(std::cout);
-    bench::writeCsv(config, "obs_overhead", t);
-    bench::writePerfJson(config, "obs_overhead", perf);
-    bench::warnUnused(config);
+    bench::writeCsv(out, "obs_overhead", t);
+    bench::writePerfJson(out, "obs_overhead", perf);
     return 0;
 }

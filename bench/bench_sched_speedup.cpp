@@ -65,9 +65,14 @@ main(int argc, char **argv)
 
     const auto archs = bench::archsFrom(config);
     const auto loads = loadsFrom(config);
+    SyntheticConfig base;
+    base.pattern = PatternKind::UniformRandom;
+    bench::applyCommon(config, &base);
+    const bench::Outputs out(config);
+    config.requireAllUsed("bench_sched_speedup");
 
     Table table({"arch", "load[f/n/c]", "tick[s]", "activity[s]",
-                 "tick[Mc/s]", "activity[Mc/s]", "speedup",
+                 "tick[kc/s]", "activity[kc/s]", "speedup",
                  "match"});
     std::vector<bench::PerfRecord> perf;
     bool all_match = true;
@@ -75,10 +80,8 @@ main(int argc, char **argv)
 
     for (RouterArch arch : archs) {
         for (double load : loads) {
-            SyntheticConfig c;
+            SyntheticConfig c = base;
             c.arch = arch;
-            c.pattern = PatternKind::UniformRandom;
-            bench::applyCommon(config, &c);
 
             // The config axis is flits/node/cycle; convert through
             // the architecture's clock so every router sees the same
@@ -105,8 +108,8 @@ main(int argc, char **argv)
             table.addRow({archName(arch), Table::num(load, 2),
                           Table::num(tick.wallSeconds, 3),
                           Table::num(act.wallSeconds, 3),
-                          Table::num(tick.cyclesPerSecond() / 1e6, 1),
-                          Table::num(act.cyclesPerSecond() / 1e6, 1),
+                          Table::num(tick.cyclesPerSecond() / 1e3, 1),
+                          Table::num(act.cyclesPerSecond() / 1e3, 1),
                           Table::num(speedup, 2),
                           match ? "yes" : "MISMATCH"});
 
@@ -121,8 +124,8 @@ main(int argc, char **argv)
     }
 
     table.print(std::cout);
-    bench::writeCsv(config, "sched_speedup", table);
-    bench::writePerfJson(config, "sched_speedup", perf);
+    bench::writeCsv(out, "sched_speedup", table);
+    bench::writePerfJson(out, "sched_speedup", perf);
 
     std::cout << "\nbest low-load speedup: "
               << Table::num(low_load_speedup, 2)
@@ -132,7 +135,5 @@ main(int argc, char **argv)
                      "simulation results\n";
         return 1;
     }
-
-    bench::warnUnused(config);
     return 0;
 }

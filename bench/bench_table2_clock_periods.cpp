@@ -25,6 +25,7 @@ main(int argc, char **argv)
     phys.bufferDepth =
         static_cast<int>(config.getInt("buffer_depth", 4));
     phys.linkLengthMm = config.getDouble("link_mm", 2.0);
+    config.requireAllUsed("bench_table2_clock_periods");
     const TimingModel tm(tech, phys);
 
     Table table({"Architecture", "Clock Period"});
@@ -66,6 +67,5 @@ main(int argc, char **argv)
                             1)
               << " ps  [paper: ~40 ps]\n";
 
-    bench::warnUnused(config);
     return 0;
 }

@@ -20,6 +20,7 @@ main(int argc, char **argv)
     config.parseArgs(argc, argv);
     bench::printHeader("Figure 13 / §6.2: router floorplan areas",
                        config);
+    config.requireAllUsed("bench_table3_area");
 
     const Technology tech = Technology::tsmc65();
     const PhysicalParams phys;
@@ -52,6 +53,5 @@ main(int argc, char **argv)
               << Table::num(am.noxOverheadFraction() * 100.0, 1)
               << "%  [paper: 17.2%]\n";
 
-    bench::warnUnused(config);
     return 0;
 }

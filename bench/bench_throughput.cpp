@@ -78,6 +78,8 @@ main(int argc, char **argv)
             points.push_back({arch, pattern, c});
         }
     }
+    const bench::Outputs out(config);
+    config.requireAllUsed("bench_throughput");
 
     for (const Point &pt : points)
         (void)runSynthetic(pt.config); // untimed warm-up pass
@@ -129,8 +131,7 @@ main(int argc, char **argv)
         perf.push_back(std::move(rec));
     }
     t.print(std::cout);
-    bench::writeCsv(config, "throughput", t);
-    bench::writePerfJson(config, "throughput", perf);
-    bench::warnUnused(config);
+    bench::writeCsv(out, "throughput", t);
+    bench::writePerfJson(out, "throughput", perf);
     return 0;
 }

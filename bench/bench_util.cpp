@@ -102,14 +102,19 @@ printHeader(const std::string &title, const Config &config)
     std::cout << '\n';
 }
 
+Outputs::Outputs(const Config &config)
+    : csvDir(config.getString("csv_dir")),
+      perfJson(config.getString("perf_json"))
+{
+}
+
 void
-writeCsv(const Config &config, const std::string &name,
+writeCsv(const Outputs &outputs, const std::string &name,
          const Table &table)
 {
-    const std::string dir = config.getString("csv_dir");
-    if (dir.empty())
+    if (outputs.csvDir.empty())
         return;
-    const std::string path = dir + "/" + name + ".csv";
+    const std::string path = outputs.csvDir + "/" + name + ".csv";
     std::ofstream out(path);
     if (!out) {
         warn("cannot write ", path);
@@ -217,10 +222,10 @@ jsonEscape(const std::string &s)
 } // namespace
 
 void
-writePerfJson(const Config &config, const std::string &bench,
+writePerfJson(const Outputs &outputs, const std::string &bench,
               const std::vector<PerfRecord> &records)
 {
-    const std::string path = config.getString("perf_json");
+    const std::string &path = outputs.perfJson;
     if (path.empty())
         return;
     std::ofstream out(path);
@@ -270,13 +275,6 @@ writePerfJson(const Config &config, const std::string &bench,
     }
     out << "  ]\n}\n";
     std::cout << "[perf] " << path << '\n';
-}
-
-void
-warnUnused(const Config &config)
-{
-    for (const auto &key : config.unusedKeys())
-        warn("unused config key: ", key);
 }
 
 } // namespace bench

@@ -76,12 +76,26 @@ struct HostFingerprint
 const HostFingerprint &hostFingerprint();
 
 /**
- * If `perf_json=<path>` is configured, write the simulator
- * performance records (wall-clock seconds, simulated cycles, and
- * derived cycles/second) as a JSON document at that path — the
- * artifact CI uploads from the bench-smoke step.
+ * Where a bench writes its artifacts, from `csv_dir=<path>` and
+ * `perf_json=<path>` (empty = not written). Read with the other keys,
+ * before Config::requireAllUsed and the first simulation, so a
+ * misspelled key fails the bench before it spends any time.
  */
-void writePerfJson(const Config &config, const std::string &bench,
+struct Outputs
+{
+    explicit Outputs(const Config &config);
+
+    std::string csvDir;
+    std::string perfJson;
+};
+
+/**
+ * If a perf JSON path is configured, write the simulator performance
+ * records (wall-clock seconds, simulated cycles, and derived
+ * cycles/second) as a JSON document at that path — the artifact CI
+ * uploads from the bench-smoke step.
+ */
+void writePerfJson(const Outputs &outputs, const std::string &bench,
                    const std::vector<PerfRecord> &records);
 
 /** Offered-rate sweep from config (`rates=` or quick/full default). */
@@ -91,15 +105,12 @@ std::vector<double> ratesFrom(const Config &config);
 void printHeader(const std::string &title, const Config &config);
 
 /**
- * If `csv_dir=<path>` is configured, write @p table to
- * `<path>/<name>.csv` (directory must exist) for plot scripts
+ * If a CSV directory is configured, write @p table to
+ * `<dir>/<name>.csv` (directory must exist) for plot scripts
  * (scripts/plot_figures.py consumes these).
  */
-void writeCsv(const Config &config, const std::string &name,
+void writeCsv(const Outputs &outputs, const std::string &name,
               const Table &table);
-
-/** Warn about config keys that were never consumed. */
-void warnUnused(const Config &config);
 
 } // namespace bench
 } // namespace nox

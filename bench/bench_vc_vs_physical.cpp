@@ -146,6 +146,9 @@ main(int argc, char **argv)
         config.getDouble("horizon_ns", quick ? 8000.0 : 20000.0);
     const double warmup =
         config.getDouble("trace_warmup_ns", quick ? 20000.0 : 50000.0);
+    const auto workloads = bench::workloadsFrom(config);
+    const bench::Outputs out(config);
+    config.requireAllUsed("bench_vc_vs_physical");
 
     const Technology tech = Technology::tsmc65();
     const PhysicalParams phys;
@@ -161,7 +164,7 @@ main(int argc, char **argv)
              "power [W]"});
 
     CmpParams params;
-    for (const auto &name : bench::workloadsFrom(config)) {
+    for (const auto &name : workloads) {
         CoherenceTraceGenerator gen(params, findWorkload(name), 99);
         const Trace trace = gen.generate(horizon, warmup);
 
@@ -182,13 +185,12 @@ main(int argc, char **argv)
                   Table::num(vc.powerW, 3)});
     }
     t.print(std::cout);
-    bench::writeCsv(config, "vc_vs_physical", t);
+    bench::writeCsv(out, "vc_vs_physical", t);
 
     std::cout << "\n(the physical pair isolates classes completely "
                  "and spreads load over twice the links; the VC "
                  "network halves the wire/switch hardware but time-"
                  "multiplexes one link — §2.8's trade-off)\n";
 
-    bench::warnUnused(config);
     return 0;
 }

@@ -102,26 +102,12 @@ Network::Network(const NetworkParams &params, RouterFactory factory)
     for (NodeId node = 0; node < nn; ++node)
         nics_.push_back(std::make_unique<Nic>(node, sink_depth));
 
-    // Wire inter-router links: for each router, connect the four mesh
-    // outputs to the neighbour's opposite input, and the matching
-    // credit return path.
+    // Wire every inter-router link once, from its south/east end:
+    // wireLink connects both directions.
     for (NodeId r = 0; r < nr; ++r) {
-        Router &router = *routers_[r];
-        for (int port = kPortNorth; port <= kPortWest; ++port) {
-            const NodeId nb = mesh_.neighbor(r, port);
-            if (nb == kInvalidNode)
-                continue;
-            const int back = Mesh::oppositePort(port);
-
-            Router::FlitTarget ft;
-            ft.router = routers_[nb].get();
-            ft.port = back;
-            router.connectOutput(port, ft, rp.bufferDepth);
-
-            Router::CreditTarget ct;
-            ct.router = routers_[nb].get();
-            ct.port = back; // our input `port` is fed by nb's output
-            router.connectInputCredit(port, ct);
+        for (int port : {kPortNorth, kPortWest}) {
+            if (mesh_.neighbor(r, port) != kInvalidNode)
+                wireLink(r, port);
         }
     }
     // Attach each terminal's NIC to its router's local port.
@@ -259,8 +245,8 @@ Network::wireLink(NodeId router, int port)
     const int back = Mesh::oppositePort(port);
     const RouterParams &rp = params_.router;
 
-    // Both directions come back together, exactly as wired at
-    // construction: forward flit wire plus turnaround credit wire.
+    // Both directions together: forward flit wire plus turnaround
+    // credit wire (our input `port` is fed by nb's output `back`).
     Router::FlitTarget ft;
     ft.router = routers_[nb].get();
     ft.port = back;
@@ -278,7 +264,8 @@ Network::wireLink(NodeId router, int port)
     routers_[nb]->connectInputCredit(back, ct);
 
     // Per-port microarchitectural state (VC credit books, lane locks)
-    // resets to the pristine post-construction value on both sides.
+    // resets to the pristine post-construction value on both sides
+    // (a no-op on a link being wired at construction).
     routers_[router]->onOutputRevived(port);
     routers_[nb]->onOutputRevived(back);
 }
@@ -487,140 +474,25 @@ Network::addSource(std::unique_ptr<TrafficSource> source)
 void
 Network::step()
 {
-    if (profiler_)
-        profiler_->beginStep();
-    switch (params_.schedulingMode) {
-      case SchedulingMode::AlwaysTick:
-        stepAlwaysTick();
-        break;
-      case SchedulingMode::ActivityDriven:
-        stepScheduled(false);
-        break;
-      case SchedulingMode::EquivalenceCheck:
-        stepScheduled(true);
-        break;
-      default:
-        panic("unknown scheduling mode");
-    }
-    // Deliberate-divergence knob (test/debug only): fires after the
-    // kernel committed the step ending at now_, before the digest
-    // stride below — so the first differing stride carries exactly
-    // this cycle (see NetworkParams::debugPerturbCycle).
-    if (params_.debugPerturbCycle != 0 &&
-        now_ == params_.debugPerturbCycle) {
-        routers_[static_cast<std::size_t>(params_.debugPerturbRouter)]
-            ->debugPerturb();
-    }
-    if (digest_ && digest_->due(now_)) {
-        ProfScope ps(profiler_.get(), SimPhase::ObsFlush);
-        digest_->record(computeDigestStride(digest_->scratch()));
-    }
-    if (telemetry_ && telemetry_->due(now_)) {
-        ProfScope ps(profiler_.get(), SimPhase::ObsFlush);
-        emitTelemetry();
-    }
-    if (profiler_)
-        profiler_->endStep();
-}
-
-void
-Network::stepAlwaysTick()
-{
-    PhaseProfiler *const prof = profiler_.get();
-
-    // 0. Fault-injection clock: draws during this cycle key off now_.
-    if (faults_) {
-        ProfScope ps(prof, SimPhase::Scheduler);
-        faults_->beginCycle(now_);
-        if (faults_->hardFaultsPending())
-            applyDueHardFaults(/*at_construction=*/false);
-        if (faults_->params().packetAgeLimit > 0)
-            checkPacketAges();
-        if (transport_)
-            transport_->sweep(now_, *this);
-    }
-    if (tracer_) {
-        ProfScope ps(prof, SimPhase::ObsFlush);
-        tracer_->beginCycle(now_);
-    }
-
-    // 1. Traffic generation for this cycle.
-    if (sourcesEnabled_) {
-        ProfScope ps(prof, SimPhase::TrafficInject);
-        for (auto &src : sources_)
-            src->tick(now_, *this);
-    }
-
-    // 1b. Link-layer maintenance (retransmissions, credit watchdog)
-    // runs before any router reads its committed state, so a
-    // retransmitted flit is staged exactly like a first transmission.
-    if (faults_) {
-        ProfScope ps(prof, SimPhase::LinkRetry);
-        for (auto &r : routers_)
-            r->evaluateLink(now_);
-    }
-
-    // 2. NIC injection (stages flits into router local inputs).
-    {
-        ProfScope ps(prof, SimPhase::TrafficInject);
-        for (auto &nic : nics_)
-            nic->evaluateInject(now_);
-    }
-
-    // 3. Router evaluation (order-independent; staged effects only).
-    {
-        ProfScope ps(prof, SimPhase::RouterEvaluate);
-        for (auto &r : routers_)
-            r->evaluate(now_);
-    }
-    if (prof)
-        prof->countEvalsAll();
-
-    // 4. NIC sinks drain their committed FIFOs.
-    {
-        ProfScope ps(prof, SimPhase::NicEject);
-        for (auto &nic : nics_)
-            nic->evaluateSink(now_);
-    }
-
-    // 5. Commit staged arrivals and credits everywhere.
-    {
-        ProfScope ps(prof, SimPhase::Scheduler);
-        for (auto &r : routers_) {
-            r->energy().cycles += 1;
-            r->commit();
-        }
-        for (NodeId n = 0; n < numNodes(); ++n) {
-            nics_[n]->commit();
-            sampleSourceQueue(n);
-        }
-        ++now_;
-    }
-    if (metrics_ && metrics_->windowEnds(now_)) {
-        ProfScope ps(prof, SimPhase::ObsFlush);
-        sampleMetricsWindow();
-    }
-    if (checkpointInterval_ != 0 && now_ % checkpointInterval_ == 0 &&
-        checkpointHook_) {
-        ProfScope ps(prof, SimPhase::Checkpoint);
-        checkpointHook_(*this);
-        if (telemetry_)
-            telemetry_->noteCheckpoint(now_);
-    }
-}
-
-void
-Network::stepScheduled(bool check)
-{
     PhaseProfiler *const prof = profiler_.get();
     const int nr = numRouters();
     const int nn = numNodes();
+    // One loop for every kernel: always-tick is the active set pinned
+    // full (everything ticked, nothing retired, flags stay 1), and
+    // equivalence mode ticks everything but retires like the activity
+    // kernel, asserting its contract.
+    const SchedulingMode mode = params_.schedulingMode;
+    const bool tickAll = mode != SchedulingMode::ActivityDriven;
+    const bool retire = mode != SchedulingMode::AlwaysTick;
+
+    if (prof)
+        prof->beginStep();
 
     // Equivalence mode: every retired component must still honour the
     // quiescence contract at the start of the cycle. Because a
     // retired component's flag is only re-set by staging, this also
     // proves (inductively) that ticking it last cycle was a no-op.
-    if (check) {
+    if (mode == SchedulingMode::EquivalenceCheck) {
         ProfScope ps(prof, SimPhase::Scheduler);
         for (NodeId r = 0; r < nr; ++r) {
             NOX_ASSERT(routerActive_[r] || routers_[r]->quiescent(),
@@ -632,9 +504,9 @@ Network::stepScheduled(bool check)
         }
     }
 
-    // 0. Fault-injection clock (see stepAlwaysTick). Hard faults and
-    // the age sweep run identically under every kernel — they read
-    // and mutate committed state only, before any evaluation.
+    // 0. Fault-injection clock: draws during this cycle key off now_.
+    // Hard faults and the age sweep read and mutate committed state
+    // only, before any evaluation.
     if (faults_) {
         ProfScope ps(prof, SimPhase::Scheduler);
         faults_->beginCycle(now_);
@@ -648,11 +520,12 @@ Network::stepScheduled(bool check)
     if (tracer_) {
         ProfScope ps(prof, SimPhase::ObsFlush);
         tracer_->beginCycle(now_);
-        traceWakes();
+        if (retire)
+            traceWakes();
     }
 
     // 1. Traffic generation always runs: sources draw from their RNG
-    // every cycle regardless of kernel, so both kernels see the same
+    // every cycle regardless of kernel, so every kernel sees the same
     // injection sequence. injectPacket() re-arms the target NIC.
     if (sourcesEnabled_) {
         ProfScope ps(prof, SimPhase::TrafficInject);
@@ -660,37 +533,38 @@ Network::stepScheduled(bool check)
             src->tick(now_, *this);
     }
 
-    // 1b. Link-layer maintenance over the active set. Retired routers
-    // are guaranteed a no-op here (quiescent() covers retry entries
-    // and owed watchdog credits), so skipping them is exact.
+    // 1b. Link-layer maintenance runs before any router reads its
+    // committed state, so a retransmitted flit is staged like a first
+    // transmission. Retired routers are a no-op here (quiescent()
+    // covers retry entries and owed watchdog credits).
     if (faults_) {
         ProfScope ps(prof, SimPhase::LinkRetry);
         for (NodeId r = 0; r < nr; ++r) {
-            if (routerActive_[r] || check)
+            if (tickAll || routerActive_[r])
                 routers_[r]->evaluateLink(now_);
         }
     }
 
-    // 2. NIC injection for the active set (live flags: a NIC armed by
-    // this cycle's traffic injects this cycle, as in always-tick).
+    // 2. NIC injection, staging flits into router local inputs (live
+    // flags: a NIC armed by this cycle's traffic injects this cycle).
     {
         ProfScope ps(prof, SimPhase::TrafficInject);
         for (NodeId n = 0; n < nn; ++n) {
-            if (nicActive_[n] || check)
+            if (tickAll || nicActive_[n])
                 nics_[n]->evaluateInject(now_);
         }
     }
 
-    // 3. Router evaluation over a snapshot of the active set: a
-    // router woken mid-phase by a staged flit starts evaluating next
-    // cycle — its staged arrival is latched by this cycle's commit,
-    // exactly as under always-tick where evaluation reads committed
-    // state only.
+    // 3. Router evaluation (order-independent; staged effects only)
+    // over a snapshot of the active set: a router woken mid-phase by
+    // a staged flit starts evaluating next cycle — its staged arrival
+    // is latched by this cycle's commit, and evaluation reads
+    // committed state only.
     {
         ProfScope ps(prof, SimPhase::RouterEvaluate);
         scratchRouters_.clear();
         for (NodeId r = 0; r < nr; ++r) {
-            if (routerActive_[r] || check)
+            if (tickAll || routerActive_[r])
                 scratchRouters_.push_back(r);
         }
         for (NodeId r : scratchRouters_)
@@ -701,29 +575,30 @@ Network::stepScheduled(bool check)
             prof->countEval(r);
     }
 
-    // 4. NIC sinks (live flags; a sink woken this cycle has an empty
-    // committed FIFO, so evaluating it is the same no-op as under
-    // always-tick).
+    // 4. NIC sinks drain their committed FIFOs (live flags; a sink
+    // woken this cycle has an empty committed FIFO, so evaluating it
+    // would be a no-op).
     {
         ProfScope ps(prof, SimPhase::NicEject);
         for (NodeId n = 0; n < nn; ++n) {
-            if (nicActive_[n] || check)
+            if (tickAll || nicActive_[n])
                 nics_[n]->evaluateSink(now_);
         }
     }
 
-    // 5. Commit every component that is (or became) active this
-    // cycle, then retire those that report quiescent. Clock energy is
-    // only charged to committed routers — retired routers are clock
-    // gated (equivalence mode charges everyone, like always-tick).
+    // 5. Commit staged arrivals and credits on every ticked
+    // component, then retire those that report quiescent. Clock
+    // energy is only charged to committed routers — retired routers
+    // are clock gated under the activity kernel.
     {
         ProfScope ps(prof, SimPhase::Scheduler);
         for (NodeId r = 0; r < nr; ++r) {
-            if (!(routerActive_[r] || check))
+            if (!(tickAll || routerActive_[r]))
                 continue;
             routers_[r]->energy().cycles += 1;
             routers_[r]->commit();
-            if (routerActive_[r] && routers_[r]->quiescent()) {
+            if (retire && routerActive_[r] &&
+                routers_[r]->quiescent()) {
                 routerActive_[r] = 0;
                 if (tracer_) {
                     tracer_->record(TraceEventKind::SchedRetire, r,
@@ -732,11 +607,11 @@ Network::stepScheduled(bool check)
             }
         }
         for (NodeId n = 0; n < nn; ++n) {
-            if (!(nicActive_[n] || check))
+            if (!(tickAll || nicActive_[n]))
                 continue;
             nics_[n]->commit();
             sampleSourceQueue(n);
-            if (nicActive_[n] && nics_[n]->quiescent()) {
+            if (retire && nicActive_[n] && nics_[n]->quiescent()) {
                 nicActive_[n] = 0;
                 if (tracer_) {
                     tracer_->record(TraceEventKind::SchedRetire, n,
@@ -757,6 +632,28 @@ Network::stepScheduled(bool check)
         if (telemetry_)
             telemetry_->noteCheckpoint(now_);
     }
+
+    // Deliberate-divergence knob (test/debug only): fires after the
+    // kernel committed the step ending at now_, before the digest
+    // stride below — so the first differing stride carries exactly
+    // this cycle (see NetworkParams::debugPerturbCycle).
+    if (params_.debugPerturbCycle != 0 &&
+        now_ == params_.debugPerturbCycle) {
+        routers_[static_cast<std::size_t>(params_.debugPerturbRouter)]
+            ->debugPerturb();
+    }
+    if (digest_ && digest_->due(now_)) {
+        ProfScope ps(prof, SimPhase::ObsFlush);
+        digest_->record(computeDigestStride(digest_->scratch()));
+    }
+    if (telemetry_ && telemetry_->due(now_)) {
+        ProfScope ps(prof, SimPhase::ObsFlush);
+        TelemetrySample s = telemetrySample();
+        s.checkpointAge = telemetry_->checkpointAge(now_);
+        telemetry_->beat(s);
+    }
+    if (prof)
+        prof->endStep();
 }
 
 void
@@ -845,8 +742,8 @@ Network::finishObservability()
     }
 }
 
-void
-Network::emitTelemetry()
+TelemetrySample
+Network::telemetrySample() const
 {
     TelemetrySample s;
     s.cycle = now_;
@@ -866,20 +763,17 @@ Network::emitTelemetry()
     const FlitArenaStats &arena = FlitArena::instance().stats();
     s.arenaLive = arena.live();
     s.arenaGrowths = arena.growths;
-    s.checkpointAge = telemetry_->checkpointAge(now_);
     if (digest_) {
         s.digestStrides =
             static_cast<std::int64_t>(digest_->strideCount());
         s.lastDigestCycle = digest_->lastDigestCycle();
     }
-    telemetry_->beat(s);
+    return s;
 }
 
 int
 Network::activeRouters() const
 {
-    if (params_.schedulingMode == SchedulingMode::AlwaysTick)
-        return numRouters();
     return static_cast<int>(std::count(routerActive_.begin(),
                                        routerActive_.end(), 1));
 }
@@ -887,8 +781,6 @@ Network::activeRouters() const
 int
 Network::activeNics() const
 {
-    if (params_.schedulingMode == SchedulingMode::AlwaysTick)
-        return numNodes();
     return static_cast<int>(
         std::count(nicActive_.begin(), nicActive_.end(), 1));
 }
@@ -1036,29 +928,9 @@ Network::injectPacket(NodeId src, NodeId dst, int num_flits, Cycle now,
             ageInFlight_.insert(id);
         }
     }
-    // Member scratch: one packet's flits are built here every
-    // injection, and the NIC copies them into its source queue — no
-    // per-packet vector allocation on the steady-state path.
-    std::vector<FlitDesc> &flits = scratchInjectFlits_;
-    flits.clear();
-    flits.reserve(static_cast<std::size_t>(num_flits));
-    for (int s = 0; s < num_flits; ++s) {
-        FlitDesc d;
-        d.uid = flitUid(id, static_cast<std::uint32_t>(s));
-        d.packet = id;
-        d.seq = static_cast<std::uint32_t>(s);
-        d.packetSize = static_cast<std::uint32_t>(num_flits);
-        d.src = src;
-        d.dest = dst;
-        d.payload = expectedPayload(id, static_cast<std::uint32_t>(s));
-        d.createCycle = now;
-        d.cls = cls;
-        d.flowSeq = flow_seq;
-        // Static VC assignment by class (request/reply isolation).
-        if (params_.router.vcCount > 1 && cls == TrafficClass::Reply)
-            d.vc = 1;
-        flits.push_back(d);
-    }
+    const std::vector<FlitDesc> &flits =
+        buildFlits(id, static_cast<std::uint32_t>(num_flits), src, dst,
+                   now, cls, flow_seq);
     if (prov_)
         prov_->onPacketCreate(flits, now);
     if (transport_)
@@ -1082,6 +954,37 @@ Network::injectPacket(NodeId src, NodeId dst, int num_flits, Cycle now,
         std::max(stats_.maxSourceQueueFlits,
                  nics_[src]->sourceQueueFlits());
     return id;
+}
+
+const std::vector<FlitDesc> &
+Network::buildFlits(PacketId packet, std::uint32_t num_flits, NodeId src,
+                    NodeId dst, Cycle created, TrafficClass cls,
+                    std::uint32_t flow_seq)
+{
+    // Member scratch: one packet's flits are built here every
+    // injection, and the NIC copies them into its source queue — no
+    // per-packet vector allocation on the steady-state path.
+    std::vector<FlitDesc> &flits = scratchInjectFlits_;
+    flits.clear();
+    flits.reserve(num_flits);
+    for (std::uint32_t s = 0; s < num_flits; ++s) {
+        FlitDesc d;
+        d.uid = flitUid(packet, s);
+        d.packet = packet;
+        d.seq = s;
+        d.packetSize = num_flits;
+        d.src = src;
+        d.dest = dst;
+        d.payload = expectedPayload(packet, s);
+        d.createCycle = created;
+        d.cls = cls;
+        d.flowSeq = flow_seq;
+        // Static VC assignment by class (request/reply isolation).
+        if (params_.router.vcCount > 1 && cls == TrafficClass::Reply)
+            d.vc = 1;
+        flits.push_back(d);
+    }
+    return flits;
 }
 
 std::size_t
@@ -1165,60 +1068,11 @@ Network::fingerprint() const
 void
 Network::serialize(snap::Writer &w) const
 {
-    snap::tag(w, snap::fourcc("NETW"));
-    w.u64(now_);
-    w.u64(nextPacket_);
-    w.boolean(sourcesEnabled_);
-    snap::writeNetworkStats(w, stats_);
+    serializeDigestGlobals(w);
 
-    // The hard-fault topology, as replayable kill lists: dead
-    // routers, then every explicitly-failed link (canonical
-    // direction) — including links whose endpoint router is also
-    // dead, because a later heal of that router must not resurrect
-    // the link's own fault.
-    const std::vector<NodeId> deadRouters = faultMap_.deadRouters();
-    w.u64(deadRouters.size());
-    for (NodeId r : deadRouters)
-        w.i32(r);
-    const std::vector<std::pair<NodeId, int>> deadLinks =
-        faultMap_.explicitDeadLinks();
-    w.u64(deadLinks.size());
-    for (const auto &[r, port] : deadLinks) {
-        w.i32(r);
-        w.i32(port);
-    }
-    w.u64(table_.rebuilds());
-
-    const auto writeFlowMap =
-        [&w](const std::unordered_map<std::uint64_t, std::uint32_t>
-                 &m) {
-            std::vector<std::uint64_t> keys;
-            keys.reserve(m.size());
-            for (const auto &[k, v] : m)
-                keys.push_back(k);
-            std::sort(keys.begin(), keys.end());
-            w.u64(keys.size());
-            for (std::uint64_t k : keys) {
-                w.u64(k);
-                w.u32(m.at(k));
-            }
-        };
-    writeFlowMap(flowNextSeq_);
-    writeFlowMap(flowMaxDone_);
-
-    w.u64(ageQueue_.size());
-    for (const auto &[packet, created] : ageQueue_) {
-        w.u64(packet);
-        w.u64(created);
-    }
-    std::vector<PacketId> aged(ageInFlight_.begin(),
-                               ageInFlight_.end());
-    std::sort(aged.begin(), aged.end());
-    w.u64(aged.size());
-    for (PacketId p : aged)
-        w.u64(p);
+    // Snapshot-only globals: the kernel- and observer-owned state the
+    // digest walk leaves out.
     w.boolean(ageDumpLatched_);
-
     for (std::uint8_t f : routerActive_)
         w.boolean(f != 0);
     for (std::uint8_t f : nicActive_)
@@ -1261,14 +1115,17 @@ Network::serialize(snap::Writer &w) const
 void
 Network::serializeDigestGlobals(snap::Writer &w) const
 {
-    // The Snapshot-scope prefix of Network::serialize, minus the
-    // kernel/observer-owned fields (see the header declaration). Keep
-    // the two walks in lockstep when adding global state.
     snap::tag(w, snap::fourcc("NETW"));
     w.u64(now_);
     w.u64(nextPacket_);
     w.boolean(sourcesEnabled_);
     snap::writeNetworkStats(w, stats_);
+
+    // The hard-fault topology, as replayable kill lists: dead
+    // routers, then every explicitly-failed link (canonical
+    // direction) — including links whose endpoint router is also
+    // dead, because a later heal of that router must not resurrect
+    // the link's own fault.
     const std::vector<NodeId> deadRouters = faultMap_.deadRouters();
     w.u64(deadRouters.size());
     for (NodeId r : deadRouters)
@@ -1281,6 +1138,7 @@ Network::serializeDigestGlobals(snap::Writer &w) const
         w.i32(port);
     }
     w.u64(table_.rebuilds());
+
     const auto writeFlowMap =
         [&w](const std::unordered_map<std::uint64_t, std::uint32_t>
                  &m) {
@@ -1297,6 +1155,7 @@ Network::serializeDigestGlobals(snap::Writer &w) const
         };
     writeFlowMap(flowNextSeq_);
     writeFlowMap(flowMaxDone_);
+
     w.u64(ageQueue_.size());
     for (const auto &[packet, created] : ageQueue_) {
         w.u64(packet);
@@ -1513,26 +1372,9 @@ Network::onE2eResend(PacketId base, const TransportEntry &e)
     if (nics_[e.src]->dead() || !table_.reachable(e.src, e.dest))
         return false;
 
-    const PacketId wire = attemptPacket(base, e.attempt);
-    std::vector<FlitDesc> &flits = scratchInjectFlits_;
-    flits.clear();
-    flits.reserve(e.numFlits);
-    for (std::uint32_t s = 0; s < e.numFlits; ++s) {
-        FlitDesc d;
-        d.uid = flitUid(wire, s);
-        d.packet = wire;
-        d.seq = s;
-        d.packetSize = e.numFlits;
-        d.src = e.src;
-        d.dest = e.dest;
-        d.payload = expectedPayload(wire, s);
-        d.createCycle = e.origCreate;
-        d.cls = e.cls;
-        d.flowSeq = e.flowSeq;
-        if (params_.router.vcCount > 1 && e.cls == TrafficClass::Reply)
-            d.vc = 1;
-        flits.push_back(d);
-    }
+    const std::vector<FlitDesc> &flits =
+        buildFlits(attemptPacket(base, e.attempt), e.numFlits, e.src,
+                   e.dest, e.origCreate, e.cls, e.flowSeq);
     if (prov_)
         prov_->onRetransmit(flits, now_);
     nics_[e.src]->enqueuePacket(flits);

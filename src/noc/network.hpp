@@ -40,15 +40,16 @@ using RouterFactory = std::function<std::unique_ptr<Router>(
 /**
  * How Network::step() schedules component evaluation.
  *
- * AlwaysTick is the classic kernel: every router and NIC is evaluated
- * and committed every cycle. ActivityDriven maintains an active set —
- * components are re-armed when a flit or credit is staged to them and
- * retired once they report quiescent() at commit — so an idle mesh
- * region costs nothing (and, as clock gating, accrues no clock
- * energy). EquivalenceCheck runs the always-tick kernel while
- * maintaining the active set and asserts, every cycle, that each
- * retired component is genuinely quiescent — the in-situ validation
- * mode for the activity kernel's contract.
+ * All three modes run one cycle loop over an active set. AlwaysTick
+ * is the classic kernel: the set is pinned full, so every router and
+ * NIC is evaluated and committed every cycle. ActivityDriven ticks
+ * only the active set — components are re-armed when a flit or
+ * credit is staged to them and retired once they report quiescent()
+ * at commit — so an idle mesh region costs nothing (and, as clock
+ * gating, accrues no clock energy). EquivalenceCheck ticks everything
+ * like always-tick while maintaining the active set and asserts,
+ * every cycle, that each retired component is genuinely quiescent —
+ * the in-situ validation mode for the activity kernel's contract.
  */
 enum class SchedulingMode : std::uint8_t {
     AlwaysTick = 0,
@@ -251,6 +252,14 @@ class Network : public PacketInjector,
 
     std::uint64_t packetsInFlight() const;
 
+    /**
+     * The network's counters as one heartbeat sample (traffic, fault
+     * and healing totals, flit-arena and digest-ledger state). The
+     * checkpoint age is left unset: it belongs to the heartbeat that
+     * saw the checkpoints, not to the network.
+     */
+    TelemetrySample telemetrySample() const;
+
     /** Sum of all router + NIC energy-event counters. */
     EnergyEvents totalEnergyEvents() const;
 
@@ -306,30 +315,28 @@ class Network : public PacketInjector,
     const E2eTransport *transport() const { return transport_.get(); }
 
   private:
-    /** The classic kernel: evaluate and commit everything. */
-    void stepAlwaysTick();
-
-    /** The activity kernel; @p check adds the equivalence-mode
-     *  full evaluation and per-cycle quiescence asserts. */
-    void stepScheduled(bool check);
-
     /** Emit SchedWake for components that (re)entered the active set
-     *  since the previous cycle (tracing + scheduled kernels only). */
+     *  since the previous cycle (tracing + retiring kernels only). */
     void traceWakes();
 
     /** Close the metrics window ending at the current cycle. */
     void sampleMetricsWindow();
 
-    /** Gather a telemetry sample and beat the heartbeat. */
-    void emitTelemetry();
+    /** Build one wire packet's flits (ids, payloads, VC by class)
+     *  into the reused scratchInjectFlits_ buffer. */
+    const std::vector<FlitDesc> &
+    buildFlits(PacketId packet, std::uint32_t num_flits, NodeId src,
+               NodeId dst, Cycle created, TrafficClass cls,
+               std::uint32_t flow_seq);
 
     /**
      * Digest-scope serialize of the network-global trajectory state:
      * the subset of the Snapshot-scope globals that is deterministic
-     * across kernels and observer configurations. Deliberately
-     * excluded: active-set and previous-active flags (kernel
-     * bookkeeping), metrics window baselines (observer-owned) and the
-     * age-dump latch (only ever set when a tracer is attached).
+     * across kernels and observer configurations. serialize() writes
+     * it as its prefix, then appends what is deliberately excluded
+     * here: the age-dump latch (only ever set when a tracer is
+     * attached), active-set and previous-active flags (kernel
+     * bookkeeping) and metrics window baselines (observer-owned).
      */
     void serializeDigestGlobals(snap::Writer &w) const;
 
@@ -351,9 +358,10 @@ class Network : public PacketInjector,
     /** Kill @p router, all its mesh links and its terminal NICs. */
     void killRouter(NodeId router, std::vector<FlitDesc> &lost);
 
-    /** Re-wire the mesh link out of @p router via @p port in both
-     *  directions (as at construction) and refresh both endpoints'
-     *  per-port state. Both endpoint routers must be alive. */
+    /** Wire the mesh link out of @p router via @p port in both
+     *  directions and reset both endpoints' per-port state (used at
+     *  construction and by heals). Both endpoint routers must be
+     *  alive and the link unwired. */
     void wireLink(NodeId router, int port);
 
     /** Heal the explicit link fault on (@p router, @p port), re-wiring

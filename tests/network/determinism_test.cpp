@@ -351,20 +351,53 @@ TEST(ActivityKernel, IdleNetworkRetiresEverything)
     EXPECT_EQ(net->activeNics(), 0);
 }
 
-TEST(ActivityKernel, GatedRoutersAccrueNoClockEnergy)
+// The one step loop keeps each kernel's clocking: always-tick pins
+// the active set full, equivalence ticks everything but retires like
+// the activity kernel, and only the activity kernel clock-gates.
+class KernelClocking : public ::testing::TestWithParam<SchedulingMode>
 {
+};
+
+TEST_P(KernelClocking, IdleMeshClockEnergy)
+{
+    const SchedulingMode mode = GetParam();
     NetworkParams params;
     params.width = 4;
     params.height = 4;
-    params.schedulingMode = SchedulingMode::ActivityDriven;
+    params.schedulingMode = mode;
     auto net = makeNetwork(params, RouterArch::Nox);
+    const auto routers = static_cast<std::uint64_t>(net->numRouters());
 
-    net->run(100);
-    // After the initial settle cycles no router is clocked.
-    const std::uint64_t cycles = net->totalEnergyEvents().cycles;
-    net->run(100);
-    EXPECT_EQ(net->totalEnergyEvents().cycles, cycles);
+    constexpr Cycle kSettle = 100;
+    for (Cycle c = 0; c < 2 * kSettle; ++c) {
+        const std::uint64_t before = net->totalEnergyEvents().cycles;
+        net->step();
+        const std::uint64_t clocked =
+            net->totalEnergyEvents().cycles - before;
+        if (mode != SchedulingMode::ActivityDriven) {
+            ASSERT_EQ(clocked, routers) << "cycle " << c;
+        } else if (c >= kSettle) {
+            // After the initial settle cycles no router is clocked.
+            ASSERT_EQ(clocked, 0u) << "cycle " << c;
+        }
+    }
+    if (mode == SchedulingMode::AlwaysTick) {
+        EXPECT_EQ(net->activeRouters(), net->numRouters());
+        EXPECT_EQ(net->activeNics(), net->numNodes());
+    } else {
+        EXPECT_EQ(net->activeRouters(), 0);
+        EXPECT_EQ(net->activeNics(), 0);
+    }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, KernelClocking,
+    ::testing::Values(SchedulingMode::AlwaysTick,
+                      SchedulingMode::ActivityDriven,
+                      SchedulingMode::EquivalenceCheck),
+    [](const ::testing::TestParamInfo<SchedulingMode> &info) {
+        return std::string(schedulingModeName(info.param));
+    });
 
 } // namespace
 } // namespace nox

@@ -34,7 +34,6 @@
 #include "common/config.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
-#include "noc/flit_arena.hpp"
 #include "noc/network.hpp"
 #include "obs/obs_params.hpp"
 #include "obs/telemetry.hpp"
@@ -465,31 +464,7 @@ main(int argc, char **argv)
             // renderer as noxsim's --progress stream, fed from the
             // phase's own wall clock and post-drain counters.
             TelemetryRecord rec;
-            rec.sample.cycle = net->now();
-            rec.sample.activeRouters = net->activeRouters();
-            rec.sample.activeNics = net->activeNics();
-            rec.sample.packetsInFlight = net->packetsInFlight();
-            rec.sample.packetsInjected =
-                net->stats().packetsInjected;
-            rec.sample.packetsEjected = net->stats().packetsEjected;
-            rec.sample.faultsInjected =
-                net->stats().faults.faultsInjected;
-            rec.sample.retransmissions =
-                net->stats().faults.retransmissions;
-            rec.sample.e2eRetransmits =
-                net->stats().faults.e2eRetransmits;
-            rec.sample.dupSuppressed =
-                net->stats().faults.dupSuppressed;
-            rec.sample.healsApplied =
-                net->stats().faults.linkHeals +
-                net->stats().faults.routerHeals;
-            rec.sample.deadEntities = static_cast<std::uint64_t>(
-                net->faultMap().deadRouterCount() +
-                net->faultMap().explicitDeadLinkCount());
-            const FlitArenaStats &arena =
-                FlitArena::instance().stats();
-            rec.sample.arenaLive = arena.live();
-            rec.sample.arenaGrowths = arena.growths;
+            rec.sample = net->telemetrySample();
             rec.wallSeconds =
                 std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - phaseWall0)
@@ -499,12 +474,6 @@ main(int argc, char **argv)
                     static_cast<double>(net->now()) /
                     rec.wallSeconds;
                 rec.instCyclesPerSec = rec.cumCyclesPerSec;
-            }
-            if (const DigestLedger *digest = net->digest()) {
-                rec.sample.digestStrides =
-                    static_cast<std::int64_t>(digest->strideCount());
-                rec.sample.lastDigestCycle =
-                    digest->lastDigestCycle();
             }
             rec.peakRssKb = RunTelemetry::peakRssKb();
             std::cout << "  telemetry: "
