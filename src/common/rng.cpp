@@ -142,18 +142,15 @@ Rng::split(std::uint64_t salt)
     return Rng(mix64(next() ^ mix64(salt)));
 }
 
+template <class Ar, class Self>
 void
-Rng::serialize(snap::Writer &w) const
+Rng::walk(Ar &ar, Self &self)
 {
-    for (std::uint64_t word : s_)
-        w.u64(word);
+    for (auto &word : self.s_)
+        ar(word);
 }
 
-void
-Rng::restore(snap::Reader &r)
-{
-    for (std::uint64_t &word : s_)
-        word = r.u64();
-}
+template void Rng::walk(snap::Writer &, const Rng &);
+template void Rng::walk(snap::Reader &, Rng &);
 
 } // namespace nox

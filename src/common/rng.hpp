@@ -71,10 +71,13 @@ class Rng
     Rng split(std::uint64_t salt);
 
     /** Capture / restore the full 256-bit state (checkpointing). */
-    void serialize(snap::Writer &w) const;
-    void restore(snap::Reader &r);
+    void serialize(snap::Writer &w) const { walk(w, *this); }
+    void restore(snap::Reader &r) { walk(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void walk(Ar &ar, Self &self);
+
     std::uint64_t s_[4];
 };
 

@@ -51,10 +51,13 @@ class SampleStats
     }
 
     /** Bit-exact accumulator capture / restore (checkpointing). */
-    void serialize(snap::Writer &w) const;
-    void restore(snap::Reader &r);
+    void serialize(snap::Writer &w) const { walk(w, *this); }
+    void restore(snap::Reader &r) { walk(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void walk(Ar &ar, Self &self);
+
     std::uint64_t n_ = 0;
     double mean_ = 0.0;
     double m2_ = 0.0;
@@ -111,10 +114,13 @@ class Histogram
     /** Capture / restore counts and widening state (checkpointing).
      *  Bucket count and auto-widen flag are construction geometry and
      *  must already match; restore() checks and throws otherwise. */
-    void serialize(snap::Writer &w) const;
-    void restore(snap::Reader &r);
+    void serialize(snap::Writer &w) const { walk(w, *this); }
+    void restore(snap::Reader &r) { walk(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void walk(Ar &ar, Self &self);
+
     /** Merge adjacent bucket pairs: same bucket count, double width. */
     void widen();
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <sstream>
 
 #include "common/config.hpp"
@@ -161,6 +162,39 @@ syntheticRunnerFingerprint(const SyntheticConfig &config)
     return rfp.str();
 }
 
+namespace {
+
+/**
+ * The RUNR section of a noxsim checkpoint: the experiment fingerprint
+ * (a resume under a different experiment is rejected) and the energy
+ * snapshots bracketing the measurement window, each absent until the
+ * run crosses its boundary.
+ */
+struct EnergyBrackets
+{
+    std::string fingerprint;
+    std::optional<EnergyEvents> before, after;
+};
+
+template <class Ar>
+void
+walk(Ar &ar, snap::Field<Ar, EnergyBrackets> &b)
+{
+    // Written as this run's fingerprint; on resume, compared with it.
+    std::string saved = b.fingerprint;
+    ar(saved);
+    if (saved != b.fingerprint) {
+        throw snap::SnapshotError(
+            "snapshot was taken from a different experiment:\n"
+            "  snapshot: " +
+            saved + "\n  this run: " + b.fingerprint);
+    }
+    snap::optional(ar, b.before);
+    snap::optional(ar, b.after);
+}
+
+} // namespace
+
 RunResult
 runSynthetic(const SyntheticConfig &config)
 {
@@ -192,64 +226,16 @@ runSynthetic(const SyntheticConfig &config)
     const Cycle m0 = config.warmupCycles;
     const Cycle m1 = config.warmupCycles + config.measureCycles;
 
-    // Runner-phase state that outlives a checkpoint: the energy
-    // snapshots bracketing the measurement window. Captured-flags
-    // handle checkpoints that fire before the respective boundary.
-    EnergyEvents before, after;
-    bool beforeCaptured = false, afterCaptured = false;
-
-    const std::string runnerFp = syntheticRunnerFingerprint(config);
-
-    if (!config.resumePath.empty()) {
-        try {
-            const snap::SnapshotFile file =
-                snap::loadSnapshotFile(config.resumePath);
-            snap::restoreNetwork(*net, file);
-            const snap::Section &rsec =
-                file.require(snap::kSectionRunner);
-            snap::Reader rr(rsec.payload.data(),
-                            rsec.payload.size());
-            snap::checkTag(rr, snap::fourcc("RUNR"));
-            const std::string savedFp = rr.str();
-            if (savedFp != runnerFp) {
-                throw snap::SnapshotError(
-                    "snapshot was taken from a different "
-                    "experiment:\n  snapshot: " +
-                    savedFp + "\n  this run: " + runnerFp);
-            }
-            beforeCaptured = rr.boolean();
-            if (beforeCaptured)
-                before = snap::readEnergyEvents(rr);
-            afterCaptured = rr.boolean();
-            if (afterCaptured)
-                after = snap::readEnergyEvents(rr);
-            rr.expectEnd();
-        } catch (const snap::SnapshotError &e) {
-            fatal("cannot resume from '", config.resumePath,
-                  "': ", e.what());
-        }
-    }
-
+    EnergyBrackets brackets;
+    brackets.fingerprint = syntheticRunnerFingerprint(config);
+    if (!config.resumePath.empty())
+        snap::resumeOrDie(*net, config.resumePath, brackets);
     if (config.checkpointInterval > 0) {
         net->installCheckpoint(
             config.checkpointInterval, [&](Network &n) {
-                snap::SnapshotFile image =
-                    snap::captureNetwork(n, "noxsim");
-                snap::Writer rw;
-                snap::tag(rw, snap::fourcc("RUNR"));
-                rw.str(runnerFp);
-                rw.boolean(beforeCaptured);
-                if (beforeCaptured)
-                    snap::writeEnergyEvents(rw, before);
-                rw.boolean(afterCaptured);
-                if (afterCaptured)
-                    snap::writeEnergyEvents(rw, after);
-                image.sections.push_back(
-                    {snap::kSectionRunner, rw.take()});
-                snap::writeSnapshotFileAtomic(
-                    config.checkpointFile,
-                    snap::encodeSnapshotFile(image),
-                    config.checkpointKeep);
+                snap::writeCheckpoint(n, "noxsim", brackets,
+                                      config.checkpointFile,
+                                      config.checkpointKeep);
             });
     }
 
@@ -266,15 +252,11 @@ runSynthetic(const SyntheticConfig &config)
     // finishes whatever remains of each phase (possibly nothing).
     const Cycle start = net->now();
     net->run(start < m0 ? m0 - start : 0);
-    if (!beforeCaptured) {
-        before = net->totalEnergyEvents();
-        beforeCaptured = true;
-    }
+    if (!brackets.before)
+        brackets.before = net->totalEnergyEvents();
     net->run(net->now() < m1 ? m1 - net->now() : 0);
-    if (!afterCaptured) {
-        after = net->totalEnergyEvents();
-        afterCaptured = true;
-    }
+    if (!brackets.after)
+        brackets.after = net->totalEnergyEvents();
 
     net->setSourcesEnabled(false);
     const Cycle deadline = m1 + config.drainLimitCycles;
@@ -377,7 +359,8 @@ runSynthetic(const SyntheticConfig &config)
     }
 
     const EnergyModel energy(config.tech, config.arch, phys);
-    const EnergyEvents window = diff(after, before);
+    const EnergyEvents window =
+        diff(*brackets.after, *brackets.before);
     res.abortCycles = window.abortCycles;
     res.misspecCycles = window.misspecCycles;
     res.flitHops = window.linkFlits + window.localLinkFlits;

@@ -7,16 +7,6 @@
 
 namespace nox {
 
-void
-Arbiter::serialize(snap::Writer &) const
-{
-}
-
-void
-Arbiter::restore(snap::Reader &)
-{
-}
-
 RoundRobinArbiter::RoundRobinArbiter(int num_inputs)
     : Arbiter(num_inputs), pointer_(0)
 {
@@ -46,21 +36,19 @@ RoundRobinArbiter::reset()
     perturbs_ = 0;
 }
 
+template <class Ar, class Self>
 void
-RoundRobinArbiter::serialize(snap::Writer &w) const
+RoundRobinArbiter::walk(Ar &ar, Self &self)
 {
-    w.i32(pointer_);
-    w.u32(perturbs_);
+    ar(self.pointer_);
+    ar.check(self.pointer_ >= 0 && self.pointer_ < self.numInputs_,
+             "round-robin pointer out of range");
+    ar(self.perturbs_);
 }
 
-void
-RoundRobinArbiter::restore(snap::Reader &r)
-{
-    pointer_ = r.i32();
-    if (pointer_ < 0 || pointer_ >= numInputs_)
-        r.fail("round-robin pointer out of range");
-    perturbs_ = r.u32();
-}
+template void RoundRobinArbiter::walk(snap::Writer &,
+                                      const RoundRobinArbiter &);
+template void RoundRobinArbiter::walk(snap::Reader &, RoundRobinArbiter &);
 
 void
 RoundRobinArbiter::perturb()
@@ -136,23 +124,23 @@ MatrixArbiter::reset()
     perturbs_ = 0;
 }
 
+template <class Ar, class Self>
 void
-MatrixArbiter::serialize(snap::Writer &w) const
+MatrixArbiter::walk(Ar &ar, Self &self)
 {
-    for (const auto &row : prio_)
-        for (bool b : row)
-            w.boolean(b);
-    w.u32(perturbs_);
+    for (auto &row : self.prio_) {
+        for (std::size_t j = 0; j < row.size(); ++j) {
+            bool b = row[j]; // vector<bool>: a proxy, not a bool&
+            ar(b);
+            if constexpr (Ar::kReading)
+                row[j] = b;
+        }
+    }
+    ar(self.perturbs_);
 }
 
-void
-MatrixArbiter::restore(snap::Reader &r)
-{
-    for (auto &row : prio_)
-        for (std::size_t j = 0; j < row.size(); ++j)
-            row[j] = r.boolean();
-    perturbs_ = r.u32();
-}
+template void MatrixArbiter::walk(snap::Writer &, const MatrixArbiter &);
+template void MatrixArbiter::walk(snap::Reader &, MatrixArbiter &);
 
 void
 MatrixArbiter::perturb()

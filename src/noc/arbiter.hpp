@@ -64,8 +64,8 @@ class Arbiter
 
     /** Capture / restore priority state (checkpointing). Stateless
      *  arbiters write nothing. */
-    virtual void serialize(snap::Writer &w) const;
-    virtual void restore(snap::Reader &r);
+    virtual void serialize(snap::Writer &) const {}
+    virtual void restore(snap::Reader &) {}
 
     /**
      * Deliberately corrupt the priority state so the next grant can
@@ -96,14 +96,17 @@ class RoundRobinArbiter : public Arbiter
 
     int grant(RequestMask requests) override;
     void reset() override;
-    void serialize(snap::Writer &w) const override;
-    void restore(snap::Reader &r) override;
+    void serialize(snap::Writer &w) const override { walk(w, *this); }
+    void restore(snap::Reader &r) override { walk(r, *this); }
     void perturb() override;
 
     /** Input that currently has highest priority (for tests). */
     int pointer() const { return pointer_; }
 
   private:
+    template <class Ar, class Self>
+    static void walk(Ar &ar, Self &self);
+
     int pointer_;
     std::uint32_t perturbs_ = 0; ///< serialized; see Arbiter::perturb
 };
@@ -129,11 +132,14 @@ class MatrixArbiter : public Arbiter
 
     int grant(RequestMask requests) override;
     void reset() override;
-    void serialize(snap::Writer &w) const override;
-    void restore(snap::Reader &r) override;
+    void serialize(snap::Writer &w) const override { walk(w, *this); }
+    void restore(snap::Reader &r) override { walk(r, *this); }
     void perturb() override;
 
   private:
+    template <class Ar, class Self>
+    static void walk(Ar &ar, Self &self);
+
     /** prio_[i][j] true when input i beats input j. */
     std::vector<std::vector<bool>> prio_;
     std::uint32_t perturbs_ = 0; ///< serialized; see Arbiter::perturb

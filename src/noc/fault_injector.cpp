@@ -409,80 +409,29 @@ FaultInjector::drawCreditLoss(NodeId router, int out_port,
     return false;
 }
 
+template <class Ar, class Self>
 void
-FaultInjector::serialize(snap::Writer &w) const
+FaultInjector::walk(Ar &ar, Self &self)
 {
-    snap::tag(w, snap::fourcc("FINJ"));
-    w.u64(now_);
-    w.u64(oneShots_.size());
-    for (const OneShot &o : oneShots_) {
-        w.u8(static_cast<std::uint8_t>(o.kind));
-        w.u64(o.cycle);
-        w.i32(o.router);
-        w.i32(o.port);
-        w.u64(o.flipMask);
-        w.boolean(o.fired);
-    }
-    w.u64(hardFaults_.size());
-    for (const HardFault &h : hardFaults_) {
-        w.u8(static_cast<std::uint8_t>(h.kind));
-        w.u64(h.cycle);
-        w.i32(h.router);
-        w.i32(h.port);
-    }
-    w.u64(log_.size());
-    for (const FaultEvent &e : log_) {
-        w.u64(e.cycle);
-        w.u8(static_cast<std::uint8_t>(e.kind));
-        w.i32(e.router);
-        w.i32(e.port);
-        w.u64(e.flipMask);
-    }
+    ar.tag(snap::fourcc("FINJ"));
+    ar(self.now_);
+    snap::sequence(ar, self.oneShots_, [&ar](auto &o) {
+        ar.enumeration(o.kind, FaultKind::RouterHeal);
+        ar(o.cycle, o.router, o.port, o.flipMask, o.fired);
+    });
+    snap::sequence(ar, self.hardFaults_, [&ar](auto &h) {
+        ar.enumeration(h.kind, FaultKind::RouterHeal);
+        ar(h.cycle, h.router, h.port);
+    });
+    snap::sequence(ar, self.log_, [&ar](auto &e) {
+        ar(e.cycle);
+        ar.enumeration(e.kind, FaultKind::RouterHeal);
+        ar(e.router, e.port, e.flipMask);
+    });
+    ar.check(self.log_.size() <= kLogCap, "fault log exceeds its cap");
 }
 
-void
-FaultInjector::restore(snap::Reader &r)
-{
-    snap::checkTag(r, snap::fourcc("FINJ"));
-    now_ = r.u64();
-    oneShots_.clear();
-    const std::uint64_t nshot = r.u64();
-    oneShots_.reserve(static_cast<std::size_t>(nshot));
-    for (std::uint64_t i = 0; i < nshot; ++i) {
-        OneShot o;
-        o.kind = static_cast<FaultKind>(r.u8());
-        o.cycle = r.u64();
-        o.router = r.i32();
-        o.port = r.i32();
-        o.flipMask = r.u64();
-        o.fired = r.boolean();
-        oneShots_.push_back(o);
-    }
-    hardFaults_.clear();
-    const std::uint64_t nhard = r.u64();
-    hardFaults_.reserve(static_cast<std::size_t>(nhard));
-    for (std::uint64_t i = 0; i < nhard; ++i) {
-        HardFault h;
-        h.kind = static_cast<FaultKind>(r.u8());
-        h.cycle = r.u64();
-        h.router = r.i32();
-        h.port = r.i32();
-        hardFaults_.push_back(h);
-    }
-    log_.clear();
-    const std::uint64_t nlog = r.u64();
-    if (nlog > kLogCap)
-        r.fail("fault log exceeds its cap");
-    log_.reserve(static_cast<std::size_t>(nlog));
-    for (std::uint64_t i = 0; i < nlog; ++i) {
-        FaultEvent e;
-        e.cycle = r.u64();
-        e.kind = static_cast<FaultKind>(r.u8());
-        e.router = r.i32();
-        e.port = r.i32();
-        e.flipMask = r.u64();
-        log_.push_back(e);
-    }
-}
+template void FaultInjector::walk(snap::Writer &, const FaultInjector &);
+template void FaultInjector::walk(snap::Reader &, FaultInjector &);
 
 } // namespace nox

@@ -342,10 +342,13 @@ class FaultInjector
      *  one-shot and hard-fault queues and the log. Draws are pure
      *  functions of (seed, event identity), so no RNG cursor exists —
      *  params come from the construction config (fingerprinted). */
-    void serialize(snap::Writer &w) const;
-    void restore(snap::Reader &r);
+    void serialize(snap::Writer &w) const { walk(w, *this); }
+    void restore(snap::Reader &r) { walk(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void walk(Ar &ar, Self &self);
+
     /** Uniform double in [0, 1) keyed by the event identity. */
     double eventUniform(FaultKind kind, NodeId router, int port,
                         std::uint64_t salt) const;

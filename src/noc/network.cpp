@@ -1065,110 +1065,6 @@ Network::fingerprint() const
     return os.str();
 }
 
-void
-Network::serialize(snap::Writer &w) const
-{
-    serializeDigestGlobals(w);
-
-    // Snapshot-only globals: the kernel- and observer-owned state the
-    // digest walk leaves out.
-    w.boolean(ageDumpLatched_);
-    for (std::uint8_t f : routerActive_)
-        w.boolean(f != 0);
-    for (std::uint8_t f : nicActive_)
-        w.boolean(f != 0);
-    w.boolean(!prevRouterActive_.empty());
-    for (std::uint8_t f : prevRouterActive_)
-        w.boolean(f != 0);
-    for (std::uint8_t f : prevNicActive_)
-        w.boolean(f != 0);
-    w.boolean(!lastLinkFlits_.empty());
-    for (std::uint64_t v : lastLinkFlits_)
-        w.u64(v);
-    for (std::uint64_t v : lastCollisions_)
-        w.u64(v);
-
-    for (const auto &r : routers_)
-        r->serialize(w);
-    for (const auto &nic : nics_)
-        nic->serialize(w);
-    w.u64(sources_.size());
-    for (const auto &src : sources_)
-        src->serialize(w);
-    w.boolean(faults_ != nullptr);
-    if (faults_)
-        faults_->serialize(w);
-    w.boolean(tracer_ != nullptr);
-    if (tracer_)
-        tracer_->serialize(w);
-    w.boolean(metrics_ != nullptr);
-    if (metrics_)
-        metrics_->serialize(w);
-    w.boolean(prov_ != nullptr);
-    if (prov_)
-        prov_->serialize(w);
-    w.boolean(transport_ != nullptr);
-    if (transport_)
-        transport_->serialize(w);
-}
-
-void
-Network::serializeDigestGlobals(snap::Writer &w) const
-{
-    snap::tag(w, snap::fourcc("NETW"));
-    w.u64(now_);
-    w.u64(nextPacket_);
-    w.boolean(sourcesEnabled_);
-    snap::writeNetworkStats(w, stats_);
-
-    // The hard-fault topology, as replayable kill lists: dead
-    // routers, then every explicitly-failed link (canonical
-    // direction) — including links whose endpoint router is also
-    // dead, because a later heal of that router must not resurrect
-    // the link's own fault.
-    const std::vector<NodeId> deadRouters = faultMap_.deadRouters();
-    w.u64(deadRouters.size());
-    for (NodeId r : deadRouters)
-        w.i32(r);
-    const std::vector<std::pair<NodeId, int>> deadLinks =
-        faultMap_.explicitDeadLinks();
-    w.u64(deadLinks.size());
-    for (const auto &[r, port] : deadLinks) {
-        w.i32(r);
-        w.i32(port);
-    }
-    w.u64(table_.rebuilds());
-
-    const auto writeFlowMap =
-        [&w](const std::unordered_map<std::uint64_t, std::uint32_t>
-                 &m) {
-            std::vector<std::uint64_t> keys;
-            keys.reserve(m.size());
-            for (const auto &[k, v] : m)
-                keys.push_back(k);
-            std::sort(keys.begin(), keys.end());
-            w.u64(keys.size());
-            for (std::uint64_t k : keys) {
-                w.u64(k);
-                w.u32(m.at(k));
-            }
-        };
-    writeFlowMap(flowNextSeq_);
-    writeFlowMap(flowMaxDone_);
-
-    w.u64(ageQueue_.size());
-    for (const auto &[packet, created] : ageQueue_) {
-        w.u64(packet);
-        w.u64(created);
-    }
-    std::vector<PacketId> aged(ageInFlight_.begin(),
-                               ageInFlight_.end());
-    std::sort(aged.begin(), aged.end());
-    w.u64(aged.size());
-    for (PacketId p : aged)
-        w.u64(p);
-}
-
 DigestStride
 Network::computeDigestStride(snap::Writer &scratch) const
 {
@@ -1183,7 +1079,7 @@ Network::computeDigestStride(snap::Writer &scratch) const
     s.cycle = now_;
     scratch.clear();
 
-    serializeDigestGlobals(scratch);
+    walkDigestGlobals(scratch, *this);
     s.global = hash();
 
     for (const auto &src : sources_)
@@ -1212,15 +1108,107 @@ Network::computeDigestStride(snap::Writer &scratch) const
     return s;
 }
 
+template <class Ar, class Self>
 void
-Network::restore(snap::Reader &r)
+Network::walkDigestGlobals(Ar &ar, Self &self)
 {
-    snap::checkTag(r, snap::fourcc("NETW"));
-    now_ = r.u64();
-    nextPacket_ = r.u64();
-    sourcesEnabled_ = r.boolean();
-    snap::readNetworkStats(r, stats_);
+    ar.tag(snap::fourcc("NETW"));
+    ar(self.now_, self.nextPacket_, self.sourcesEnabled_, self.stats_);
 
+    // The hard-fault topology, as replayable kill lists: dead
+    // routers, then every explicitly-failed link (canonical
+    // direction) — including links whose endpoint router is also
+    // dead, because a later heal of that router must not resurrect
+    // the link's own fault.
+    std::vector<NodeId> deadRouters;
+    std::vector<std::pair<NodeId, int>> deadLinks;
+    if constexpr (!Ar::kReading) {
+        deadRouters = self.faultMap_.deadRouters();
+        deadLinks = self.faultMap_.explicitDeadLinks();
+    }
+    const NodeId routers = self.numRouters();
+    snap::sequence(ar, deadRouters, [&](auto &r) {
+        ar(r);
+        ar.check(r >= 0 && r < routers, "dead-router id out of range");
+    });
+    snap::sequence(ar, deadLinks, [&](auto &link) {
+        ar(link);
+        ar.check(link.first >= 0 && link.first < routers &&
+                     link.second >= kPortNorth &&
+                     link.second <= kPortWest,
+                 "dead-link endpoint out of range");
+    });
+    if constexpr (Ar::kReading)
+        self.replayFaultTopology(deadRouters, deadLinks);
+    std::uint64_t rebuilds = self.table_.rebuilds();
+    ar(rebuilds);
+    if constexpr (Ar::kReading)
+        self.table_.setRebuildCount(rebuilds);
+
+    snap::sortedMap(ar, self.flowNextSeq_);
+    snap::sortedMap(ar, self.flowMaxDone_);
+    snap::sequence(ar, self.ageQueue_);
+    snap::sortedSet(ar, self.ageInFlight_);
+}
+
+template <class Ar, class Self>
+void
+Network::walk(Ar &ar, Self &self)
+{
+    walkDigestGlobals(ar, self);
+
+    // Snapshot-only globals: the kernel- and observer-owned state the
+    // digest walk leaves out.
+    ar(self.ageDumpLatched_);
+    const auto flags = [&ar](auto &v) {
+        for (auto &f : v)
+            snap::as<bool>(ar, f);
+    };
+    flags(self.routerActive_);
+    flags(self.nicActive_);
+    ar.expect(!self.prevRouterActive_.empty(),
+              "trace-activity state presence mismatch (wrong config)");
+    flags(self.prevRouterActive_);
+    flags(self.prevNicActive_);
+    ar.expect(!self.lastLinkFlits_.empty(),
+              "metrics window-counter presence mismatch (wrong config)");
+    for (auto &v : self.lastLinkFlits_)
+        ar(v);
+    for (auto &v : self.lastCollisions_)
+        ar(v);
+
+    for (auto &r : self.routers_)
+        ar(*r);
+    for (auto &nic : self.nics_)
+        ar(*nic);
+    ar.expect(std::uint64_t{self.sources_.size()},
+              "traffic source count mismatch (wrong config)");
+    for (auto &src : self.sources_)
+        ar(*src);
+    const auto optional = [&ar](auto &component, const char *why) {
+        ar.expect(component != nullptr, why);
+        if (component)
+            ar(*component);
+    };
+    optional(self.faults_,
+             "fault-injection presence mismatch (wrong config)");
+    optional(self.tracer_,
+             "trace recorder presence mismatch (wrong config)");
+    optional(self.metrics_,
+             "metrics sampler presence mismatch (wrong config)");
+    optional(self.prov_, "provenance presence mismatch (wrong config)");
+    optional(self.transport_,
+             "E2E-transport presence mismatch (wrong config)");
+}
+
+template void Network::walk(snap::Writer &, const Network &);
+template void Network::walk(snap::Reader &, Network &);
+
+void
+Network::replayFaultTopology(
+    const std::vector<NodeId> &dead_routers,
+    const std::vector<std::pair<NodeId, int>> &dead_links)
+{
     // Replay the snapshot's hard-fault topology onto this (freshly
     // built) network before touching any component: Router::restore
     // cross-checks output wiring, and the routing table must describe
@@ -1232,25 +1220,6 @@ Network::restore(snap::Reader &r)
     // any real heals), then re-kill exactly the snapshot's lists.
     // Explicit link kills replay before router kills because killLink
     // requires both endpoints alive.
-    std::vector<NodeId> snapDeadRouters;
-    const std::uint64_t ndr = r.u64();
-    for (std::uint64_t i = 0; i < ndr; ++i) {
-        const NodeId router = r.i32();
-        if (router < 0 || router >= numRouters())
-            r.fail("dead-router id out of range");
-        snapDeadRouters.push_back(router);
-    }
-    std::vector<std::pair<NodeId, int>> snapDeadLinks;
-    const std::uint64_t ndl = r.u64();
-    for (std::uint64_t i = 0; i < ndl; ++i) {
-        const NodeId router = r.i32();
-        const int port = r.i32();
-        if (router < 0 || router >= numRouters() ||
-            port < kPortNorth || port > kPortWest)
-            r.fail("dead-link endpoint out of range");
-        snapDeadLinks.emplace_back(router, port);
-    }
-
     bool replayed = false;
     std::vector<FlitDesc> discard; // freshly built: nothing in flight
     for (const auto &[router, port] : faultMap_.explicitDeadLinks()) {
@@ -1261,11 +1230,11 @@ Network::restore(snap::Reader &r)
         healRouter(router, /*record=*/false);
         replayed = true;
     }
-    for (const auto &[router, port] : snapDeadLinks) {
+    for (const auto &[router, port] : dead_links) {
         killLink(router, port, discard);
         replayed = true;
     }
-    for (NodeId router : snapDeadRouters) {
+    for (NodeId router : dead_routers) {
         killRouter(router, discard);
         replayed = true;
     }
@@ -1273,83 +1242,8 @@ Network::restore(snap::Reader &r)
                "fault replay on a restore target with traffic");
     if (replayed)
         table_.rebuild(faultMap_);
-    table_.setRebuildCount(r.u64());
-
-    const auto readFlowMap =
-        [&r](std::unordered_map<std::uint64_t, std::uint32_t> &m) {
-            m.clear();
-            const std::uint64_t n = r.u64();
-            m.reserve(static_cast<std::size_t>(n));
-            for (std::uint64_t i = 0; i < n; ++i) {
-                const std::uint64_t k = r.u64();
-                m[k] = r.u32();
-            }
-        };
-    readFlowMap(flowNextSeq_);
-    readFlowMap(flowMaxDone_);
-
-    ageQueue_.clear();
-    const std::uint64_t nage = r.u64();
-    for (std::uint64_t i = 0; i < nage; ++i) {
-        const PacketId packet = r.u64();
-        const Cycle created = r.u64();
-        ageQueue_.emplace_back(packet, created);
-    }
-    ageInFlight_.clear();
-    const std::uint64_t nin = r.u64();
-    ageInFlight_.reserve(static_cast<std::size_t>(nin));
-    for (std::uint64_t i = 0; i < nin; ++i)
-        ageInFlight_.insert(r.u64());
-    ageDumpLatched_ = r.boolean();
-
-    for (std::uint8_t &f : routerActive_)
-        f = r.boolean() ? 1 : 0;
-    for (std::uint8_t &f : nicActive_)
-        f = r.boolean() ? 1 : 0;
-    if (r.boolean() != !prevRouterActive_.empty())
-        r.fail("trace-activity state presence mismatch (wrong "
-               "config)");
-    for (std::uint8_t &f : prevRouterActive_)
-        f = r.boolean() ? 1 : 0;
-    for (std::uint8_t &f : prevNicActive_)
-        f = r.boolean() ? 1 : 0;
-    if (r.boolean() != !lastLinkFlits_.empty())
-        r.fail("metrics window-counter presence mismatch (wrong "
-               "config)");
-    for (std::uint64_t &v : lastLinkFlits_)
-        v = r.u64();
-    for (std::uint64_t &v : lastCollisions_)
-        v = r.u64();
-
-    for (auto &rt : routers_)
-        rt->restore(r);
-    for (auto &nic : nics_)
-        nic->restore(r);
-    if (r.u64() != sources_.size())
-        r.fail("traffic source count mismatch (wrong config)");
-    for (auto &src : sources_)
-        src->restore(r);
-    if (r.boolean() != (faults_ != nullptr))
-        r.fail("fault-injection presence mismatch (wrong config)");
-    if (faults_)
-        faults_->restore(r);
-    if (r.boolean() != (tracer_ != nullptr))
-        r.fail("trace recorder presence mismatch (wrong config)");
-    if (tracer_)
-        tracer_->restore(r);
-    if (r.boolean() != (metrics_ != nullptr))
-        r.fail("metrics sampler presence mismatch (wrong config)");
-    if (metrics_)
-        metrics_->restore(r);
-    if (r.boolean() != (prov_ != nullptr))
-        r.fail("provenance presence mismatch (wrong config)");
-    if (prov_)
-        prov_->restore(r);
-    if (r.boolean() != (transport_ != nullptr))
-        r.fail("E2E-transport presence mismatch (wrong config)");
-    if (transport_)
-        transport_->restore(r);
 }
+
 
 void
 Network::onFlitDelivered(NodeId, const FlitDesc &, Cycle now)

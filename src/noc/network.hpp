@@ -292,8 +292,8 @@ class Network : public PacketInjector,
      * the snapshot's hard-fault topology onto this network before
      * overwriting any component state.
      */
-    void serialize(snap::Writer &w) const;
-    void restore(snap::Reader &r);
+    void serialize(snap::Writer &w) const { walk(w, *this); }
+    void restore(snap::Reader &r) { walk(r, *this); }
 
     // -- PacketInjector --
     PacketId injectPacket(NodeId src, NodeId dst, int num_flits,
@@ -329,16 +329,28 @@ class Network : public PacketInjector,
                NodeId dst, Cycle created, TrafficClass cls,
                std::uint32_t flow_seq);
 
+    /** The snapshot walk behind serialize() and restore(). */
+    template <class Ar, class Self>
+    static void walk(Ar &ar, Self &self);
+
     /**
-     * Digest-scope serialize of the network-global trajectory state:
-     * the subset of the Snapshot-scope globals that is deterministic
-     * across kernels and observer configurations. serialize() writes
-     * it as its prefix, then appends what is deliberately excluded
-     * here: the age-dump latch (only ever set when a tracer is
-     * attached), active-set and previous-active flags (kernel
+     * The network-global trajectory state: the subset of the
+     * snapshot's globals that is deterministic across kernels and
+     * observer configurations, hashed as the digest's global
+     * component. walk() visits it first, then what is deliberately
+     * excluded here: the age-dump latch (only ever set when a tracer
+     * is attached), active-set and previous-active flags (kernel
      * bookkeeping) and metrics window baselines (observer-owned).
      */
-    void serializeDigestGlobals(snap::Writer &w) const;
+    template <class Ar, class Self>
+    static void walkDigestGlobals(Ar &ar, Self &self);
+
+    /** Restore side of the hard-fault topology: heal this freshly
+     *  built network back to the pristine mesh, then re-kill exactly
+     *  the snapshot's lists and rebuild the routing table. */
+    void replayFaultTopology(
+        const std::vector<NodeId> &dead_routers,
+        const std::vector<std::pair<NodeId, int>> &dead_links);
 
     /**
      * Apply every hard fault due at the current cycle: kill the

@@ -169,11 +169,19 @@ class Nic
     /** Capture / restore dynamic state (checkpointing); taken between
      *  steps, when nothing is staged (asserted). Digest scope omits
      *  the kernel-dependent energy counters (see Router::serialize). */
-    void serialize(snap::Writer &w,
-                   snap::Scope scope = snap::Scope::Snapshot) const;
-    void restore(snap::Reader &r);
+    void
+    serialize(snap::Writer &w,
+              snap::Scope scope = snap::Scope::Snapshot) const
+    {
+        walk(w, *this, scope);
+    }
+    void restore(snap::Reader &r) { walk(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void walk(Ar &ar, Self &self,
+                     snap::Scope scope = snap::Scope::Snapshot);
+
     void deliver(const FlitDesc &flit, Cycle now);
 
     void wake()

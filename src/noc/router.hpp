@@ -288,8 +288,8 @@ class Router
      * Capture / restore dynamic state (checkpointing). Called between
      * steps, when no arrivals are staged (commit() latched everything
      * — asserted); wiring, parameters and route tables are rebuilt by
-     * construction and are not captured. Subclasses override both,
-     * call the base method first, then handle their own state.
+     * construction and are not captured. Subclasses override both
+     * with one walk of their own that starts with Router::walk.
      *
      * @p scope selects the byte layout: Snapshot is lossless (restore
      * reads it back); Digest feeds the state-digest ledger and omits
@@ -297,10 +297,13 @@ class Router
      * for retired routers and which therefore legitimately differ
      * between bit-identical trajectories.
      */
-    virtual void serialize(snap::Writer &w,
-                           snap::Scope scope =
-                               snap::Scope::Snapshot) const;
-    virtual void restore(snap::Reader &r);
+    virtual void
+    serialize(snap::Writer &w,
+              snap::Scope scope = snap::Scope::Snapshot) const
+    {
+        walk(w, *this, scope);
+    }
+    virtual void restore(snap::Reader &r) { walk(r, *this); }
 
     /**
      * Deliberately corrupt one arbiter decision (test/debug only; see
@@ -476,6 +479,12 @@ class Router
                                       ///< swallowed, owed by watchdog
 
     EnergyEvents energy_;
+
+    /** The base router's part of the snapshot walk behind serialize()
+     *  and restore(); subclass walks call it first. */
+    template <class Ar>
+    static void walk(Ar &ar, snap::Field<Ar, Router> &self,
+                     snap::Scope scope = snap::Scope::Snapshot);
 
   private:
     std::uint8_t *activityFlag_ = nullptr;

@@ -1,10 +1,10 @@
 /**
  * @file
- * Snapshot codecs for the small value types shared across the NoC
+ * Snapshot walks for the small value types shared across the NoC
  * layer: flits, FIFOs, energy counters and the aggregate statistics
- * blocks. Components compose these from their own serialize()/
- * restore() methods so every field is written exactly once, in one
- * place, in a fixed order.
+ * blocks. Each is one function template visited by both archives
+ * (see snapshot/io.hpp), so `ar(flit)` inside any component's walk
+ * writes or restores it with one field list.
  */
 
 #ifndef NOX_NOC_SNAPSHOT_CODEC_HPP
@@ -18,26 +18,94 @@
 
 namespace nox::snap {
 
-void writeFlitDesc(Writer &w, const FlitDesc &d);
-FlitDesc readFlitDesc(Reader &r);
+template <class Ar>
+void
+walk(Ar &ar, Field<Ar, FlitDesc> &d)
+{
+    ar(d.uid, d.packet, d.seq, d.packetSize, d.src, d.dest, d.payload,
+       d.createCycle, d.injectCycle);
+    ar.enumeration(d.cls, TrafficClass::Reply);
+    ar(d.vc, d.flowSeq);
+}
 
-void writeWireFlit(Writer &w, const WireFlit &f);
-WireFlit readWireFlit(Reader &r);
+template <class Ar>
+void
+walk(Ar &ar, Field<Ar, WireFlit> &f)
+{
+    ar(f.payload, f.encoded, f.vc, f.crc);
+    const std::size_t n = ar.count(f.parts.size());
+    if constexpr (Ar::kReading) {
+        for (std::size_t i = 0; i < n; ++i) {
+            FlitDesc d;
+            ar(d);
+            f.parts.push_back(d);
+        }
+    } else {
+        for (const FlitDesc &d : f.parts)
+            ar(d);
+    }
+}
 
-/** Capacity is construction geometry; read checks it and throws on
- *  mismatch. The restored FIFO holds the same flits in the same
- *  order (physical head position is irrelevant to behaviour). */
-void writeFlitFifo(Writer &w, const FlitFifo &f);
-void readFlitFifo(Reader &r, FlitFifo &f);
+/** Capacity is construction geometry, checked on read. The restored
+ *  FIFO holds the same flits in the same order (physical head
+ *  position is irrelevant to behaviour). */
+template <class Ar>
+void
+walk(Ar &ar, Field<Ar, FlitFifo> &f)
+{
+    ar.expect(std::uint64_t{f.capacity()},
+              "FIFO capacity mismatch (wrong geometry)");
+    const std::size_t n = ar.count(f.size());
+    if constexpr (Ar::kReading) {
+        ar.check(n <= f.capacity(), "FIFO occupancy exceeds capacity");
+        while (!f.empty())
+            f.pop();
+        for (std::size_t i = 0; i < n; ++i) {
+            WireFlit w;
+            ar(w);
+            f.push(std::move(w));
+        }
+    } else {
+        for (std::size_t i = 0; i < n; ++i)
+            ar(f.at(i));
+    }
+}
 
-void writeEnergyEvents(Writer &w, const EnergyEvents &e);
-EnergyEvents readEnergyEvents(Reader &r);
+template <class Ar>
+void
+walk(Ar &ar, Field<Ar, EnergyEvents> &e)
+{
+    ar(e.bufferWrites, e.bufferReads, e.xbarInputDrives,
+       e.xbarOutputCycles, e.linkFlits, e.linkWastedCycles,
+       e.localLinkFlits, e.localLinkWasted, e.arbDecisions,
+       e.allocEvals, e.decodeOps, e.decodeLatches, e.maskUpdates,
+       e.abortCycles, e.misspecCycles, e.cycles);
+}
 
-void writeFaultStats(Writer &w, const FaultStats &s);
-void readFaultStats(Reader &r, FaultStats &s);
+template <class Ar>
+void
+walk(Ar &ar, Field<Ar, FaultStats> &s)
+{
+    ar(s.faultsInjected, s.bitflipsInjected, s.dropsInjected,
+       s.creditsLostInjected, s.faultsDetected, s.retransmissions,
+       s.creditResyncs, s.corruptedEscapes, s.decodeMismatches,
+       s.hardLinkFaults, s.hardRouterFaults, s.tableRebuilds,
+       s.flitsLostHard, s.packetsLostHard, s.e2eRetransmits,
+       s.dupSuppressed, s.deliveryFailures, s.linkHeals, s.routerHeals,
+       s.unreachableRejected, s.flowReorders, s.ageAlarms);
+}
 
-void writeNetworkStats(Writer &w, const NetworkStats &s);
-void readNetworkStats(Reader &r, NetworkStats &s);
+template <class Ar>
+void
+walk(Ar &ar, Field<Ar, NetworkStats> &s)
+{
+    ar.tag(fourcc("STAT"));
+    ar(s.packetsInjected, s.flitsInjected, s.packetsEjected,
+       s.flitsEjected, s.measureStart, s.measureEnd, s.latency,
+       s.netLatency, s.latencyHist, s.latencyByClass);
+    ar(s.packetsMeasured, s.packetsMeasuredDone, s.flitsEjectedInWindow,
+       s.flitsCreatedInWindow, s.maxSourceQueueFlits, s.faults);
+}
 
 } // namespace nox::snap
 

@@ -109,121 +109,43 @@ E2eTransport::markFlowDone(const TransportEntry &e)
     flows_[flowKey(e.src, e.dest)].insert(e.flowSeq);
 }
 
+template <class Ar, class Self>
 void
-E2eTransport::serialize(snap::Writer &w) const
+E2eTransport::walk(Ar &ar, Self &self)
 {
-    snap::tag(w, snap::fourcc("TRNS"));
-
-    std::vector<PacketId> keys;
-    keys.reserve(window_.size());
-    for (const auto &[base, e] : window_)
-        keys.push_back(base);
-    std::sort(keys.begin(), keys.end());
-    w.u64(keys.size());
-    for (const PacketId base : keys) {
-        const TransportEntry &e = window_.at(base);
-        w.u64(base);
-        w.i32(e.src);
-        w.i32(e.dest);
-        w.u32(e.numFlits);
-        w.u8(static_cast<std::uint8_t>(e.cls));
-        w.u32(e.flowSeq);
-        w.u64(e.origCreate);
-        w.u32(e.attempt);
-        w.u32(e.retries);
-        w.boolean(e.delivered);
+    ar.tag(snap::fourcc("TRNS"));
+    snap::sortedMap(ar, self.window_, [&ar](auto &e) {
+        ar(e.src, e.dest, e.numFlits);
+        ar.enumeration(e.cls, TrafficClass::Reply);
+        ar(e.flowSeq, e.origCreate, e.attempt, e.retries, e.delivered);
+    });
+    snap::sequence(ar, self.timeouts_);
+    snap::sequence(ar, self.acks_);
+    if constexpr (Ar::kReading) {
+        const auto monotone = [](const auto &q) {
+            return std::is_sorted(
+                q.begin(), q.end(),
+                [](const auto &a, const auto &b) {
+                    return a.first < b.first;
+                });
+        };
+        ar.check(monotone(self.timeouts_),
+                 "transport timeout deque not monotone");
+        ar.check(monotone(self.acks_),
+                 "transport ack deque not monotone");
     }
-
-    w.u64(timeouts_.size());
-    for (const auto &[due, base] : timeouts_) {
-        w.u64(due);
-        w.u64(base);
-    }
-    w.u64(acks_.size());
-    for (const auto &[due, base] : acks_) {
-        w.u64(due);
-        w.u64(base);
-    }
-
-    std::vector<std::uint64_t> flowKeys;
-    flowKeys.reserve(flows_.size());
-    for (const auto &[key, filter] : flows_)
-        flowKeys.push_back(key);
-    std::sort(flowKeys.begin(), flowKeys.end());
-    w.u64(flowKeys.size());
-    for (const std::uint64_t key : flowKeys) {
-        const FlowFilter &f = flows_.at(key);
-        w.u64(key);
-        w.u32(f.watermark);
-        std::vector<std::uint32_t> above(f.above.begin(),
-                                         f.above.end());
-        std::sort(above.begin(), above.end());
-        w.u64(above.size());
-        for (const std::uint32_t seq : above)
-            w.u32(seq);
-    }
-}
-
-void
-E2eTransport::restore(snap::Reader &r)
-{
-    snap::checkTag(r, snap::fourcc("TRNS"));
-
-    window_.clear();
-    timeouts_.clear();
-    acks_.clear();
-    flows_.clear();
-
-    const std::uint64_t nw = r.u64();
-    for (std::uint64_t i = 0; i < nw; ++i) {
-        const PacketId base = r.u64();
-        TransportEntry e;
-        e.src = r.i32();
-        e.dest = r.i32();
-        e.numFlits = r.u32();
-        e.cls = static_cast<TrafficClass>(r.u8());
-        e.flowSeq = r.u32();
-        e.origCreate = r.u64();
-        e.attempt = r.u32();
-        e.retries = r.u32();
-        e.delivered = r.boolean();
-        if (!window_.emplace(base, e).second)
-            r.fail("duplicate transport window entry");
-    }
-
-    const std::uint64_t nt = r.u64();
-    for (std::uint64_t i = 0; i < nt; ++i) {
-        const Cycle due = r.u64();
-        const PacketId base = r.u64();
-        if (!timeouts_.empty() && due < timeouts_.back().first)
-            r.fail("transport timeout deque not monotone");
-        timeouts_.emplace_back(due, base);
-    }
-    const std::uint64_t na = r.u64();
-    for (std::uint64_t i = 0; i < na; ++i) {
-        const Cycle due = r.u64();
-        const PacketId base = r.u64();
-        if (!acks_.empty() && due < acks_.back().first)
-            r.fail("transport ack deque not monotone");
-        acks_.emplace_back(due, base);
-    }
-
-    const std::uint64_t nf = r.u64();
-    for (std::uint64_t i = 0; i < nf; ++i) {
-        const std::uint64_t key = r.u64();
-        FlowFilter f;
-        f.watermark = r.u32();
-        const std::uint64_t ns = r.u64();
-        for (std::uint64_t s = 0; s < ns; ++s) {
-            const std::uint32_t seq = r.u32();
-            if (seq < f.watermark)
-                r.fail("flow filter entry below its watermark");
-            if (!f.above.insert(seq).second)
-                r.fail("duplicate flow filter entry");
+    snap::sortedMap(ar, self.flows_, [&ar](auto &f) {
+        ar(f.watermark);
+        snap::sortedSet(ar, f.above);
+        if constexpr (Ar::kReading) {
+            for (const std::uint32_t seq : f.above)
+                ar.check(seq >= f.watermark,
+                         "flow filter entry below its watermark");
         }
-        if (!flows_.emplace(key, std::move(f)).second)
-            r.fail("duplicate flow filter key");
-    }
+    });
 }
+
+template void E2eTransport::walk(snap::Writer &, const E2eTransport &);
+template void E2eTransport::walk(snap::Reader &, E2eTransport &);
 
 } // namespace nox

@@ -141,10 +141,13 @@ class E2eTransport
                static_cast<std::uint32_t>(dest);
     }
 
-    void serialize(snap::Writer &w) const;
-    void restore(snap::Reader &r);
+    void serialize(snap::Writer &w) const { walk(w, *this); }
+    void restore(snap::Reader &r) { walk(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void walk(Ar &ar, Self &self);
+
     /** Delivered-set for one (src,dest) flow: every flowSeq below the
      *  watermark is delivered; stragglers above it sit in `above`
      *  until the watermark sweeps past them. */

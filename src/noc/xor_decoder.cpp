@@ -81,21 +81,14 @@ XorDecoder::accept(FlitFifo &fifo)
     return true;
 }
 
+template <class Ar, class Self>
 void
-XorDecoder::serialize(snap::Writer &w) const
+XorDecoder::walk(Ar &ar, Self &self)
 {
-    w.boolean(reg_.has_value());
-    if (reg_.has_value())
-        snap::writeWireFlit(w, *reg_);
+    snap::optional(ar, self.reg_);
 }
 
-void
-XorDecoder::restore(snap::Reader &r)
-{
-    if (r.boolean())
-        reg_ = snap::readWireFlit(r);
-    else
-        reg_.reset();
-}
+template void XorDecoder::walk(snap::Writer &, const XorDecoder &);
+template void XorDecoder::walk(snap::Reader &, XorDecoder &);
 
 } // namespace nox

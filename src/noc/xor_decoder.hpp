@@ -99,10 +99,13 @@ class XorDecoder
 
     /** Capture / restore the decode register (checkpointing). The
      *  scratch slot is per-view derived state and is not captured. */
-    void serialize(snap::Writer &w) const;
-    void restore(snap::Reader &r);
+    void serialize(snap::Writer &w) const { walk(w, *this); }
+    void restore(snap::Reader &r) { walk(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void walk(Ar &ar, Self &self);
+
     std::optional<WireFlit> reg_;
     /** Backing store for DecodeView::presented when the presented
      *  flit is computed (XOR decode, lenient payload correction)

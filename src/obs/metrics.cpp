@@ -121,64 +121,25 @@ MetricsSampler::heatmapTable(int width, int height) const
     return t;
 }
 
+template <class Ar, class Self>
 void
-MetricsSampler::serialize(snap::Writer &w) const
+MetricsSampler::walk(Ar &ar, Self &self)
 {
-    snap::tag(w, snap::fourcc("METR"));
-    w.i32(numRouters_);
-    w.u64(windowStart_);
-    w.u64(openEjected_);
-    w.u64(openEjectedMeasured_);
-    w.u64(windows_.size());
-    for (const MetricsWindow &win : windows_) {
-        w.u64(win.start);
-        w.u64(win.end);
-        w.u64(win.flitsEjected);
-        w.u64(win.flitsEjectedMeasured);
-        w.i32(win.activeRouters);
-        w.i32(win.activeNics);
-        w.u64(win.routers.size());
-        for (const RouterWindowSample &s : win.routers) {
-            w.u32(s.bufferedFlits);
-            w.u32(s.linkFlits);
-            w.u32(s.xorCollisions);
-            w.u32(s.retryPending);
-            w.boolean(s.active);
-        }
-    }
+    ar.tag(snap::fourcc("METR"));
+    ar.expect(self.numRouters_,
+              "metrics router-count mismatch (wrong geometry)");
+    ar(self.windowStart_, self.openEjected_, self.openEjectedMeasured_);
+    snap::sequence(ar, self.windows_, [&ar](auto &win) {
+        ar(win.start, win.end, win.flitsEjected,
+           win.flitsEjectedMeasured, win.activeRouters, win.activeNics);
+        snap::sequence(ar, win.routers, [&ar](auto &s) {
+            ar(s.bufferedFlits, s.linkFlits, s.xorCollisions,
+               s.retryPending, s.active);
+        });
+    });
 }
 
-void
-MetricsSampler::restore(snap::Reader &r)
-{
-    snap::checkTag(r, snap::fourcc("METR"));
-    if (r.i32() != numRouters_)
-        r.fail("metrics router-count mismatch (wrong geometry)");
-    windowStart_ = r.u64();
-    openEjected_ = r.u64();
-    openEjectedMeasured_ = r.u64();
-    windows_.clear();
-    const std::uint64_t nwin = r.u64();
-    windows_.reserve(static_cast<std::size_t>(nwin));
-    for (std::uint64_t i = 0; i < nwin; ++i) {
-        MetricsWindow win;
-        win.start = r.u64();
-        win.end = r.u64();
-        win.flitsEjected = r.u64();
-        win.flitsEjectedMeasured = r.u64();
-        win.activeRouters = r.i32();
-        win.activeNics = r.i32();
-        const std::uint64_t nr = r.u64();
-        win.routers.resize(static_cast<std::size_t>(nr));
-        for (RouterWindowSample &s : win.routers) {
-            s.bufferedFlits = r.u32();
-            s.linkFlits = r.u32();
-            s.xorCollisions = r.u32();
-            s.retryPending = r.u32();
-            s.active = r.boolean();
-        }
-        windows_.push_back(std::move(win));
-    }
-}
+template void MetricsSampler::walk(snap::Writer &, const MetricsSampler &);
+template void MetricsSampler::walk(snap::Reader &, MetricsSampler &);
 
 } // namespace nox

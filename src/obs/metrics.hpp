@@ -127,10 +127,13 @@ class MetricsSampler
 
     /** Capture / restore closed windows and the open-window
      *  accumulators (checkpointing). */
-    void serialize(snap::Writer &w) const;
-    void restore(snap::Reader &r);
+    void serialize(snap::Writer &w) const { walk(w, *this); }
+    void restore(snap::Reader &r) { walk(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void walk(Ar &ar, Self &self);
+
     MetricsParams params_;
     int numRouters_;
     Cycle windowStart_ = 0;

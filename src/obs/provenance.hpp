@@ -270,10 +270,13 @@ class LatencyProvenance
     bool writeJsonl(const std::string &path) const;
 
     /** Capture / restore open spans and aggregates (checkpointing). */
-    void serialize(snap::Writer &w) const;
-    void restore(snap::Reader &r);
+    void serialize(snap::Writer &w) const { walk(w, *this); }
+    void restore(snap::Reader &r) { walk(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void walk(Ar &ar, Self &self);
+
     /** Open span state for one in-flight flit. */
     struct FlitTrack
     {

@@ -148,55 +148,34 @@ TraceRecorder::triggerFlightDump(const std::string &reason,
     return true;
 }
 
+template <class Ar, class Self>
 void
-TraceRecorder::serialize(snap::Writer &w) const
+TraceRecorder::walk(Ar &ar, Self &self)
 {
-    snap::tag(w, snap::fourcc("TRCR"));
-    w.u64(ring_.size());
-    w.u64(total_);
-    w.u64(now_);
-    w.boolean(dumped_);
-    w.str(dumpReason_);
-    // Held events only, oldest first — empty slots of a not-yet-full
-    // ring are default-constructed on restore.
-    for (const TraceEvent &e : snapshot()) {
-        w.u64(e.cycle);
-        w.u64(e.id);
-        w.u32(e.arg);
-        w.i32(e.node);
-        w.i32(e.port);
-        w.u8(static_cast<std::uint8_t>(e.kind));
-        w.boolean(e.nic);
+    ar.tag(snap::fourcc("TRCR"));
+    const std::size_t cap = self.ring_.size();
+    ar.expect(std::uint64_t{cap},
+              "trace ring capacity mismatch (wrong geometry)");
+    ar(self.total_, self.now_, self.dumped_, self.dumpReason_);
+    if constexpr (Ar::kReading) {
+        // head_ always equals total_ % capacity (both start at zero
+        // and advance in lockstep), so slot positions reconstruct
+        // exactly; empty slots of a not-yet-full ring stay default.
+        self.ring_.assign(cap, TraceEvent{});
+        self.head_ = static_cast<std::size_t>(self.total_ % cap);
+    }
+    // Held events only, oldest first (the order of snapshot()).
+    const std::size_t start = self.total_ < cap ? 0 : self.head_;
+    for (std::size_t i = 0; i < self.size(); ++i) {
+        auto &e = self.ring_[(start + i) % cap];
+        ar(e.cycle, e.id, e.arg, e.node);
+        snap::as<std::int32_t>(ar, e.port);
+        ar.enumeration(e.kind, TraceEventKind::DupSuppress);
+        ar(e.nic);
     }
 }
 
-void
-TraceRecorder::restore(snap::Reader &r)
-{
-    snap::checkTag(r, snap::fourcc("TRCR"));
-    const std::uint64_t cap = r.u64();
-    if (cap != ring_.size())
-        r.fail("trace ring capacity mismatch (wrong geometry)");
-    total_ = r.u64();
-    now_ = r.u64();
-    dumped_ = r.boolean();
-    dumpReason_ = r.str();
-    ring_.assign(ring_.size(), TraceEvent{});
-    // head_ always equals total_ % capacity (both start at zero and
-    // advance in lockstep), so slot positions reconstruct exactly.
-    head_ = static_cast<std::size_t>(total_ % ring_.size());
-    const std::size_t held = size();
-    const std::size_t start = total_ < ring_.size() ? 0 : head_;
-    for (std::size_t i = 0; i < held; ++i) {
-        TraceEvent &e = ring_[(start + i) % ring_.size()];
-        e.cycle = r.u64();
-        e.id = r.u64();
-        e.arg = r.u32();
-        e.node = r.i32();
-        e.port = static_cast<std::int8_t>(r.i32());
-        e.kind = static_cast<TraceEventKind>(r.u8());
-        e.nic = r.boolean();
-    }
-}
+template void TraceRecorder::walk(snap::Writer &, const TraceRecorder &);
+template void TraceRecorder::walk(snap::Reader &, TraceRecorder &);
 
 } // namespace nox

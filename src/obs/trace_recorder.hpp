@@ -119,10 +119,13 @@ class TraceRecorder
 
     /** Capture / restore ring contents and dump latch (checkpointing).
      *  Ring capacity is construction geometry; restore() checks it. */
-    void serialize(snap::Writer &w) const;
-    void restore(snap::Reader &r);
+    void serialize(snap::Writer &w) const { walk(w, *this); }
+    void restore(snap::Reader &r) { walk(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void walk(Ar &ar, Self &self);
+
     TraceParams params_;
     std::vector<TraceEvent> ring_;
     std::size_t head_ = 0;

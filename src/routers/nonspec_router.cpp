@@ -174,31 +174,25 @@ NonSpecRouter::debugPerturb()
     arb_[0]->perturb();
 }
 
+template <class Ar, class Self>
 void
-NonSpecRouter::serialize(snap::Writer &w, snap::Scope scope) const
+NonSpecRouter::walk(Ar &ar, Self &self, snap::Scope scope)
 {
-    Router::serialize(w, scope);
-    for (const auto &a : arb_)
-        a->serialize(w);
-    for (int o : lockOwner_)
-        w.i32(o);
-    for (PacketId p : lockPacket_)
-        w.u64(p);
+    Router::walk(ar, self, scope);
+    for (auto &a : self.arb_)
+        ar(*a);
+    for (auto &o : self.lockOwner_) {
+        ar(o);
+        ar.check(o >= -1 && o < self.numPorts(),
+                 "wormhole lock owner out of range");
+    }
+    for (auto &p : self.lockPacket_)
+        ar(p);
 }
 
-void
-NonSpecRouter::restore(snap::Reader &r)
-{
-    Router::restore(r);
-    for (auto &a : arb_)
-        a->restore(r);
-    for (int &o : lockOwner_) {
-        o = r.i32();
-        if (o < -1 || o >= numPorts())
-            r.fail("wormhole lock owner out of range");
-    }
-    for (PacketId &p : lockPacket_)
-        p = r.u64();
-}
+template void NonSpecRouter::walk(snap::Writer &,
+                                  const NonSpecRouter &, snap::Scope);
+template void NonSpecRouter::walk(snap::Reader &,
+                                  NonSpecRouter &, snap::Scope);
 
 } // namespace nox

@@ -44,13 +44,20 @@ class NonSpecRouter : public Router
     /** Input currently owning output @p port mid-packet (-1 = none). */
     int lockOwner(int port) const { return lockOwner_[port]; }
 
-    void serialize(snap::Writer &w,
-                   snap::Scope scope) const override;
-    void restore(snap::Reader &r) override;
+    void
+    serialize(snap::Writer &w, snap::Scope scope) const override
+    {
+        walk(w, *this, scope);
+    }
+    void restore(snap::Reader &r) override { walk(r, *this); }
 
     void debugPerturb() override;
 
   private:
+    template <class Ar, class Self>
+    static void walk(Ar &ar, Self &self,
+                     snap::Scope scope = snap::Scope::Snapshot);
+
     void traverse(int in_port, int out_port);
 
     std::vector<std::unique_ptr<Arbiter>> arb_;

@@ -130,13 +130,20 @@ class NoxRouter : public Router
         return noxStats_.totalCollisions();
     }
 
-    void serialize(snap::Writer &w,
-                   snap::Scope scope) const override;
-    void restore(snap::Reader &r) override;
+    void
+    serialize(snap::Writer &w, snap::Scope scope) const override
+    {
+        walk(w, *this, scope);
+    }
+    void restore(snap::Reader &r) override { walk(r, *this); }
 
     void debugPerturb() override;
 
   private:
+    template <class Ar, class Self>
+    static void walk(Ar &ar, Self &self,
+                     snap::Scope scope = snap::Scope::Snapshot);
+
     struct OutState
     {
         Mode mode = Mode::Recovery;

@@ -251,42 +251,31 @@ SpecRouter::debugPerturb()
     arb_[0]->perturb();
 }
 
+template <class Ar, class Self>
 void
-SpecRouter::serialize(snap::Writer &w, snap::Scope scope) const
+SpecRouter::walk(Ar &ar, Self &self, snap::Scope scope)
 {
-    Router::serialize(w, scope);
-    for (const auto &a : arb_)
-        a->serialize(w);
-    for (int v : reserved_)
-        w.i32(v);
-    for (int o : lockOwner_)
-        w.i32(o);
-    for (PacketId p : lockPacket_)
-        w.u64(p);
-    for (PacketId p : prevHeadPacket_)
-        w.u64(p);
+    Router::walk(ar, self, scope);
+    for (auto &a : self.arb_)
+        ar(*a);
+    for (auto &v : self.reserved_) {
+        ar(v);
+        ar.check(v >= -1 && v < self.numPorts(),
+                 "switch reservation out of range");
+    }
+    for (auto &o : self.lockOwner_) {
+        ar(o);
+        ar.check(o >= -1 && o < self.numPorts(),
+                 "wormhole lock owner out of range");
+    }
+    for (auto &p : self.lockPacket_)
+        ar(p);
+    for (auto &p : self.prevHeadPacket_)
+        ar(p);
 }
 
-void
-SpecRouter::restore(snap::Reader &r)
-{
-    Router::restore(r);
-    for (auto &a : arb_)
-        a->restore(r);
-    for (int &v : reserved_) {
-        v = r.i32();
-        if (v < -1 || v >= numPorts())
-            r.fail("switch reservation out of range");
-    }
-    for (int &o : lockOwner_) {
-        o = r.i32();
-        if (o < -1 || o >= numPorts())
-            r.fail("wormhole lock owner out of range");
-    }
-    for (PacketId &p : lockPacket_)
-        p = r.u64();
-    for (PacketId &p : prevHeadPacket_)
-        p = r.u64();
-}
+template void SpecRouter::walk(snap::Writer &,
+                               const SpecRouter &, snap::Scope);
+template void SpecRouter::walk(snap::Reader &, SpecRouter &, snap::Scope);
 
 } // namespace nox

@@ -95,9 +95,12 @@ class VcRouter : public Router
         return lockOwner_[index(out_port, vc)];
     }
 
-    void serialize(snap::Writer &w,
-                   snap::Scope scope) const override;
-    void restore(snap::Reader &r) override;
+    void
+    serialize(snap::Writer &w, snap::Scope scope) const override
+    {
+        walk(w, *this, scope);
+    }
+    void restore(snap::Reader &r) override { walk(r, *this); }
 
     void debugPerturb() override;
 
@@ -109,6 +112,10 @@ class VcRouter : public Router
     }
 
   private:
+    template <class Ar, class Self>
+    static void walk(Ar &ar, Self &self,
+                     snap::Scope scope = snap::Scope::Snapshot);
+
     std::size_t
     index(int port, int vc) const
     {

@@ -36,13 +36,11 @@ encodeSnapshotFile(const SnapshotFile &f)
     Writer w;
     w.bytes(reinterpret_cast<const std::uint8_t *>(kMagic),
             sizeof(kMagic));
-    w.u32(f.version);
-    w.u32(static_cast<std::uint32_t>(f.sections.size()));
+    w(f.version, static_cast<std::uint32_t>(f.sections.size()));
     for (const Section &s : f.sections) {
-        w.u32(s.tag);
-        w.u64(s.payload.size());
+        w(s.tag, std::uint64_t{s.payload.size()});
         w.bytes(s.payload.data(), s.payload.size());
-        w.u32(crc32c(s.payload.data(), s.payload.size()));
+        w(crc32c(s.payload.data(), s.payload.size()));
     }
     return w.take();
 }
@@ -60,19 +58,28 @@ decodeSnapshotFile(const std::uint8_t *data, std::size_t size)
             "not a snapshot: bad magic (expected \"NOXSNAP1\")");
     }
     SnapshotFile f;
-    f.version = r.u32();
+    r(f.version);
     if (f.version != kSnapshotVersion) {
         throw SnapshotError(
             "unsupported snapshot version " +
             std::to_string(f.version) + " (this build reads version " +
             std::to_string(kSnapshotVersion) + ")");
     }
-    const std::uint32_t count = r.u32();
+    std::uint32_t count = 0;
+    r(count);
+    // A section frame is at least tag + length + CRC (16 bytes).
+    if (count > r.remaining() / 16) {
+        throw SnapshotError("truncated snapshot: " +
+                            std::to_string(count) +
+                            " sections declared, " +
+                            std::to_string(r.remaining()) +
+                            " bytes remain");
+    }
     f.sections.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
         Section s;
-        s.tag = r.u32();
-        const std::uint64_t len = r.u64();
+        std::uint64_t len = 0;
+        r(s.tag, len);
         if (len > r.remaining()) {
             throw SnapshotError(
                 "truncated snapshot: section '" + fourccName(s.tag) +
@@ -83,7 +90,8 @@ decodeSnapshotFile(const std::uint8_t *data, std::size_t size)
         s.payload.resize(static_cast<std::size_t>(len));
         if (len > 0)
             r.bytes(s.payload.data(), s.payload.size());
-        const std::uint32_t stored = r.u32();
+        std::uint32_t stored = 0;
+        r(stored);
         const std::uint32_t actual =
             crc32c(s.payload.data(), s.payload.size());
         if (stored != actual) {
@@ -174,18 +182,14 @@ readFileBytes(const std::string &path)
 void
 encodeMeta(Writer &w, const SnapshotMeta &m)
 {
-    w.str(m.tool);
-    w.u64(m.cycle);
-    w.str(m.fingerprint);
+    w(m);
 }
 
 SnapshotMeta
 decodeMeta(Reader &r)
 {
     SnapshotMeta m;
-    m.tool = r.str();
-    m.cycle = r.u64();
-    m.fingerprint = r.str();
+    r(m);
     return m;
 }
 

@@ -101,6 +101,13 @@ struct SnapshotMeta
     std::string fingerprint; ///< construction-config identity string
 };
 
+template <class Ar>
+void
+walk(Ar &ar, Field<Ar, SnapshotMeta> &m)
+{
+    ar(m.tool, m.cycle, m.fingerprint);
+}
+
 void encodeMeta(Writer &w, const SnapshotMeta &m);
 SnapshotMeta decodeMeta(Reader &r);
 

@@ -30,13 +30,13 @@ fourccName(std::uint32_t tag)
 }
 
 void
-checkTag(Reader &r, std::uint32_t expect)
+Reader::tag(std::uint32_t expect)
 {
-    const std::uint32_t got = r.u32();
+    std::uint32_t got = 0;
+    field(got);
     if (got != expect) {
-        r.fail("component tag mismatch: expected '" +
-               fourccName(expect) + "', found '" + fourccName(got) +
-               "'");
+        fail("component tag mismatch: expected '" + fourccName(expect) +
+             "', found '" + fourccName(got) + "'");
     }
 }
 

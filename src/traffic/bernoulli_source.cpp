@@ -32,16 +32,14 @@ BernoulliSource::tick(Cycle now, PacketInjector &inj)
 }
 
 
+template <class Ar, class Self>
 void
-BernoulliSource::serialize(snap::Writer &w) const
+BernoulliSource::walk(Ar &ar, Self &self)
 {
-    rng_.serialize(w);
+    ar(self.rng_);
 }
 
-void
-BernoulliSource::restore(snap::Reader &r)
-{
-    rng_.restore(r);
-}
+template void BernoulliSource::walk(snap::Writer &, const BernoulliSource &);
+template void BernoulliSource::walk(snap::Reader &, BernoulliSource &);
 
 } // namespace nox

@@ -34,12 +34,15 @@ class BernoulliSource : public TrafficSource
 
     void tick(Cycle now, PacketInjector &inj) override;
 
-    void serialize(snap::Writer &w) const override;
-    void restore(snap::Reader &r) override;
+    void serialize(snap::Writer &w) const override { walk(w, *this); }
+    void restore(snap::Reader &r) override { walk(r, *this); }
 
     double offeredLoad() const { return flitsPerCycle_; }
 
   private:
+    template <class Ar, class Self>
+    static void walk(Ar &ar, Self &self);
+
     NodeId self_;
     const DestinationPattern &pattern_;
     double flitsPerCycle_;

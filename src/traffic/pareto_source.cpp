@@ -80,24 +80,15 @@ ParetoSource::tick(Cycle now, PacketInjector &inj)
 }
 
 
+template <class Ar, class Self>
 void
-ParetoSource::serialize(snap::Writer &w) const
+ParetoSource::walk(Ar &ar, Self &self)
 {
-    rng_.serialize(w);
-    w.boolean(on_);
-    w.u64(phaseEnd_);
-    w.i32(burstDest_);
-    w.boolean(primed_);
+    ar(self.rng_, self.on_, self.phaseEnd_, self.burstDest_,
+       self.primed_);
 }
 
-void
-ParetoSource::restore(snap::Reader &r)
-{
-    rng_.restore(r);
-    on_ = r.boolean();
-    phaseEnd_ = r.u64();
-    burstDest_ = r.i32();
-    primed_ = r.boolean();
-}
+template void ParetoSource::walk(snap::Writer &, const ParetoSource &);
+template void ParetoSource::walk(snap::Reader &, ParetoSource &);
 
 } // namespace nox

@@ -41,13 +41,16 @@ class ParetoSource : public TrafficSource
 
     void tick(Cycle now, PacketInjector &inj) override;
 
-    void serialize(snap::Writer &w) const override;
-    void restore(snap::Reader &r) override;
+    void serialize(snap::Writer &w) const override { walk(w, *this); }
+    void restore(snap::Reader &r) override { walk(r, *this); }
 
     /** Mean OFF-scale (T_off) solved for the target rate (test). */
     double offScale() const { return offScale_; }
 
   private:
+    template <class Ar, class Self>
+    static void walk(Ar &ar, Self &self);
+
     void startOn(Cycle now);
     void startOff(Cycle now);
 

@@ -38,18 +38,16 @@ ReplaySource::tick(Cycle now, PacketInjector &inj)
 }
 
 
+template <class Ar, class Self>
 void
-ReplaySource::serialize(snap::Writer &w) const
+ReplaySource::walk(Ar &ar, Self &self)
 {
-    w.u64(next_);
+    ar(self.next_);
+    ar.check(self.next_ <= self.records_.size(),
+             "replay cursor past end of trace");
 }
 
-void
-ReplaySource::restore(snap::Reader &r)
-{
-    next_ = static_cast<std::size_t>(r.u64());
-    if (next_ > records_.size())
-        r.fail("replay cursor past end of trace");
-}
+template void ReplaySource::walk(snap::Writer &, const ReplaySource &);
+template void ReplaySource::walk(snap::Reader &, ReplaySource &);
 
 } // namespace nox

@@ -33,13 +33,16 @@ class ReplaySource : public TrafficSource
 
     void tick(Cycle now, PacketInjector &inj) override;
 
-    void serialize(snap::Writer &w) const override;
-    void restore(snap::Reader &r) override;
+    void serialize(snap::Writer &w) const override { walk(w, *this); }
+    void restore(snap::Reader &r) override { walk(r, *this); }
 
     /** All records consumed? */
     bool done() const { return next_ >= records_.size(); }
 
   private:
+    template <class Ar, class Self>
+    static void walk(Ar &ar, Self &self);
+
     std::vector<TraceRecord> records_;
     double periodNs_;
     std::uint32_t linkBytes_;

@@ -26,7 +26,7 @@ namespace {
 
 std::unique_ptr<Network>
 buildNetwork(int buffer_depth = 4, int num_sources = -1,
-             const FaultParams &faults = {})
+             const FaultParams &faults = {}, const ObsParams &obs = {})
 {
     NetworkParams params;
     params.width = 4;
@@ -34,6 +34,7 @@ buildNetwork(int buffer_depth = 4, int num_sources = -1,
     params.router.bufferDepth = buffer_depth;
     params.sinkBufferDepth = buffer_depth;
     params.faults = faults;
+    params.obs = obs;
     auto net = makeNetwork(params, RouterArch::Nox);
 
     static const Mesh mesh(4, 4);
@@ -61,11 +62,12 @@ captureBytes(Network &net)
  *  tampered image fails somewhere on that path. */
 void
 restoreFromBytes(const std::vector<std::uint8_t> &bytes,
-                 const FaultParams &faults = {})
+                 const FaultParams &faults = {},
+                 const ObsParams &obs = {})
 {
     const snap::SnapshotFile file =
         snap::decodeSnapshotFile(bytes.data(), bytes.size());
-    auto net = buildNetwork(4, -1, faults);
+    auto net = buildNetwork(4, -1, faults, obs);
     snap::restoreNetwork(*net, file);
 }
 
@@ -79,20 +81,58 @@ transportFaults()
     return faults;
 }
 
-/** Offset of the last "TRNS" fourcc in @p payload — the transport
- *  component is the final piece of the NETW payload, so the last
- *  occurrence is its tag. */
-std::size_t
-findTrnsTag(const std::vector<std::uint8_t> &payload)
+/** Metrics-on observability config for the METR tamper test. */
+ObsParams
+metricsObs()
 {
-    static const std::uint8_t kTag[4] = {'T', 'R', 'N', 'S'};
-    const auto it = std::find_end(payload.begin(), payload.end(),
-                                  std::begin(kTag), std::end(kTag));
+    ObsParams obs;
+    obs.metrics.enabled = true;
+    obs.metrics.interval = 64;
+    obs.metrics.heatmap = false;
+    return obs;
+}
+
+/** Offset of the last @p tag fourcc in @p payload — the optional
+ *  components close the NETW payload, so the last occurrence is the
+ *  component's own tag rather than a lookalike in flit data. */
+std::size_t
+findTag(const std::vector<std::uint8_t> &payload, const char (&tag)[5])
+{
+    const auto it =
+        std::find_end(payload.begin(), payload.end(), tag, tag + 4);
     if (it == payload.end()) {
-        ADD_FAILURE() << "no TRNS tag in the NETW payload";
+        ADD_FAILURE() << "no " << tag << " tag in the NETW payload";
         return 0; // still in-bounds; the corrupt image must throw
     }
     return static_cast<std::size_t>(it - payload.begin());
+}
+
+std::size_t
+findTrnsTag(const std::vector<std::uint8_t> &payload)
+{
+    return findTag(payload, "TRNS");
+}
+
+/** Capture @p donor, overwrite the NETW payload byte @p offset bytes
+ *  past the component tag @p tag with @p value, and re-encode under a
+ *  fresh CRC: only the component reader can refuse the result. */
+std::vector<std::uint8_t>
+tamperAfterTag(const Network &donor, const char (&tag)[5],
+               std::size_t offset, std::uint8_t value)
+{
+    const std::vector<std::uint8_t> bytes =
+        snap::encodeSnapshotFile(snap::captureNetwork(donor, "test"));
+    snap::SnapshotFile file =
+        snap::decodeSnapshotFile(bytes.data(), bytes.size());
+    for (snap::Section &sec : file.sections) {
+        if (sec.tag != snap::kSectionNetwork)
+            continue;
+        const std::size_t at = findTag(sec.payload, tag) + offset;
+        EXPECT_LT(at, sec.payload.size());
+        if (at < sec.payload.size())
+            sec.payload[at] = value;
+    }
+    return snap::encodeSnapshotFile(file);
 }
 
 class SnapshotReject : public ::testing::Test
@@ -277,6 +317,56 @@ TEST(SnapshotRejectTransport, TransportPresenceMismatchRejected)
                   std::string::npos)
             << "unexpected error: " << e.what();
     }
+}
+
+TEST(SnapshotRejectCounts, FaultOneShotCountOverflowRejected)
+{
+    // FINJ: tag, clock (u64), then the one-shot count (u64). A count
+    // with top byte 0x7F must be refused by the bounded count, not
+    // escape as std::length_error from a reserve().
+    auto donor = buildNetwork(4, -1, transportFaults());
+    donor->run(200);
+    EXPECT_THROW(restoreFromBytes(tamperAfterTag(*donor, "FINJ", 19, 0x7F),
+                                  transportFaults()),
+                 snap::SnapshotError);
+}
+
+TEST(SnapshotRejectCounts, MetricsWindowCountOverflowRejected)
+{
+    // METR: tag, router count (i32), three u64 accumulators, then the
+    // window count (u64).
+    auto donor = buildNetwork(4, -1, {}, metricsObs());
+    donor->run(200);
+    EXPECT_THROW(restoreFromBytes(tamperAfterTag(*donor, "METR", 39, 0x7F),
+                                  {}, metricsObs()),
+                 snap::SnapshotError);
+}
+
+TEST(SnapshotRejectCounts, TransportTrafficClassOutOfRangeRejected)
+{
+    // TRNS: tag, window count (u64), then the first entry: base
+    // (u64), src, dest (i32), numFlits (u32) and the class byte. Class
+    // 9 would later index the 3-element per-class latency array.
+    auto donor = buildNetwork(4, -1, transportFaults());
+    donor->run(200);
+    ASSERT_GT(donor->transport()->windowSize(), 0u);
+    try {
+        restoreFromBytes(tamperAfterTag(*donor, "TRNS", 32, 9),
+                         transportFaults());
+        FAIL() << "transport entry with traffic class 9 restored";
+    } catch (const snap::SnapshotError &e) {
+        EXPECT_NE(std::string(e.what()).find("enum"), std::string::npos)
+            << "unexpected error: " << e.what();
+    }
+}
+
+TEST_F(SnapshotReject, SectionCountOverflowRejected)
+{
+    // The container's section count sits after magic + version; a
+    // count the remaining bytes cannot hold must not reach reserve().
+    std::vector<std::uint8_t> bad = bytes_;
+    bad[15] = 0xFF;
+    EXPECT_THROW(restoreFromBytes(bad), snap::SnapshotError);
 }
 
 TEST_F(SnapshotReject, FileIoErrorsAreStructured)

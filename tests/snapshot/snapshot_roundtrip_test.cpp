@@ -12,7 +12,8 @@
  * transport window non-empty) which exercises the heal-then-rekill
  * replay plus transport/TRNS restore. A file-layer case round-trips
  * through writeSnapshotFileAtomic to prove the on-disk rotation chain
- * restores just as faithfully.
+ * restores just as faithfully. Every round trip also re-captures the
+ * restored network and requires the donor's exact image back.
  */
 
 #include <gtest/gtest.h>
@@ -147,8 +148,13 @@ roundtripAt(Cycle mid, MakeFn make,
         snap::restoreNetwork(*resumed, decoded);
     EXPECT_EQ(meta.cycle, mid);
     EXPECT_EQ(resumed->now(), mid);
-    // The restored network must already agree with the donor.
+    // The restored network must already agree with the donor — down
+    // to the last byte of its image, which also covers the energy and
+    // observer state the digest leaves out.
     EXPECT_TRUE(identicalStats(donor->stats(), resumed->stats()));
+    EXPECT_TRUE(snap::encodeSnapshotFile(
+                    snap::captureNetwork(*resumed, "test")) == bytes)
+        << "re-capturing the restored network changed its image";
 
     const NetworkStats stats = finishRun(*resumed);
     if (keep)

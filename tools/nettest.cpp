@@ -62,38 +62,22 @@ struct PhaseState
     Cycle drainEnd = 0; ///< drain deadline (stage 2)
 };
 
-void
-writePhaseState(snap::Writer &w, const PhaseState &st, const Rng &rng)
+/** The RUNR section: the phase being executed plus the traffic RNG. */
+struct PhaseCheckpoint
 {
-    snap::tag(w, snap::fourcc("RUNR"));
-    w.i32(st.phase);
-    w.f64(st.rate);
-    w.f64(st.dataFrac);
-    w.u64(st.run);
-    w.i32(st.maxFlits);
-    w.u64(st.t);
-    w.u8(st.stage);
-    w.u64(st.pauseEnd);
-    w.u64(st.drainEnd);
-    rng.serialize(w);
-}
+    PhaseState &st;
+    Rng &rng;
+};
 
+template <class Ar>
 void
-readPhaseState(snap::Reader &r, PhaseState &st, Rng &rng)
+walk(Ar &ar, snap::Field<Ar, PhaseCheckpoint> &c)
 {
-    snap::checkTag(r, snap::fourcc("RUNR"));
-    st.phase = r.i32();
-    st.rate = r.f64();
-    st.dataFrac = r.f64();
-    st.run = r.u64();
-    st.maxFlits = r.i32();
-    st.t = r.u64();
-    st.stage = r.u8();
-    if (st.stage > 2)
-        r.fail("phase stage out of range");
-    st.pauseEnd = r.u64();
-    st.drainEnd = r.u64();
-    rng.restore(r);
+    PhaseState &st = c.st;
+    ar(st.phase, st.rate, st.dataFrac, st.run, st.maxFlits, st.t,
+       st.stage);
+    ar.check(st.stage <= 2, "phase stage out of range");
+    ar(st.pauseEnd, st.drainEnd, c.rng);
 }
 
 class OrderChecker : public SinkListener
@@ -287,16 +271,10 @@ main(int argc, char **argv)
         if (checkpointInterval > 0) {
             net->installCheckpoint(
                 checkpointInterval, [&](Network &n) {
-                    snap::SnapshotFile image =
-                        snap::captureNetwork(n, "nettest");
-                    snap::Writer rw;
-                    writePhaseState(rw, st, rng);
-                    image.sections.push_back(
-                        {snap::kSectionRunner, rw.take()});
-                    snap::writeSnapshotFileAtomic(
-                        checkpointFile,
-                        snap::encodeSnapshotFile(image),
-                        checkpointKeep);
+                    snap::writeCheckpoint(n, "nettest",
+                                          PhaseCheckpoint{st, rng},
+                                          checkpointFile,
+                                          checkpointKeep);
                 });
         }
 
@@ -488,19 +466,8 @@ main(int argc, char **argv)
         // have offered.
         auto net = makeNetwork(params, arch);
         PhaseState st;
-        try {
-            const snap::SnapshotFile file =
-                snap::loadSnapshotFile(resumePath);
-            snap::restoreNetwork(*net, file);
-            const snap::Section &sec =
-                file.require(snap::kSectionRunner);
-            snap::Reader r(sec.payload.data(), sec.payload.size());
-            readPhaseState(r, st, rng);
-            r.expectEnd();
-        } catch (const snap::SnapshotError &e) {
-            fatal("cannot resume from '", resumePath, "': ",
-                  e.what());
-        }
+        PhaseCheckpoint ckpt{st, rng};
+        snap::resumeOrDie(*net, resumePath, ckpt);
         phase = st.phase;
         runOnePhase(net.get(), st, true);
     } else {

@@ -645,18 +645,8 @@ cmdBisect(const Config &config)
     SyntheticNet builtB = buildSyntheticNetwork(cb);
     Network &netA = *builtA.net;
     Network &netB = *builtB.net;
-    try {
-        snap::restoreNetwork(netA, snap::loadSnapshotFile(snapA));
-    } catch (const snap::SnapshotError &e) {
-        fatal("bisect: cannot restore side a from '", snapA,
-              "': ", e.what());
-    }
-    try {
-        snap::restoreNetwork(netB, snap::loadSnapshotFile(snapB));
-    } catch (const snap::SnapshotError &e) {
-        fatal("bisect: cannot restore side b from '", snapB,
-              "': ", e.what());
-    }
+    snap::resumeOrDie(netA, snapA);
+    snap::resumeOrDie(netB, snapB);
     if (netA.now() != netB.now())
         fatal("bisect: checkpoints are from different cycles (a=",
               netA.now(), ", b=", netB.now(),
