@@ -6,6 +6,7 @@
 #include <iostream>
 #include <thread>
 
+#include "common/jsonl.hpp"
 #include "common/log.hpp"
 #include "common/table.hpp"
 
@@ -204,23 +205,6 @@ hostFingerprint()
     return fp;
 }
 
-namespace {
-
-/** Minimal JSON string escape (quotes/backslashes in CPU names). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
-
-} // namespace
-
 void
 writePerfJson(const Outputs &outputs, const std::string &bench,
               const std::vector<PerfRecord> &records)
@@ -235,9 +219,9 @@ writePerfJson(const Outputs &outputs, const std::string &bench,
     }
     const HostFingerprint &host = hostFingerprint();
     out << "{\n  \"bench\": \"" << bench << "\",\n"
-        << "  \"host\": {\"cpu\": \"" << jsonEscape(host.cpu)
+        << "  \"host\": {\"cpu\": \"" << jsonl::escape(host.cpu)
         << "\", \"cores\": " << host.cores << ", \"governor\": \""
-        << jsonEscape(host.governor) << "\"},\n"
+        << jsonl::escape(host.governor) << "\"},\n"
         << "  \"records\": [\n";
     for (std::size_t i = 0; i < records.size(); ++i) {
         const PerfRecord &r = records[i];

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/log.hpp"
 
@@ -21,6 +22,16 @@ trim(const std::string &s)
     while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
         --e;
     return s.substr(b, e - b);
+}
+
+template <class T>
+T
+atLeast(const std::string &key, T value, T min)
+{
+    if (value < min)
+        fatal("config key '", key, "' must be at least ", min, ", got ",
+              value);
+    return value;
 }
 
 } // namespace
@@ -140,43 +151,54 @@ Config::getString(const std::string &key, const std::string &def) const
 }
 
 std::int64_t
-Config::getInt(const std::string &key, std::int64_t def) const
+Config::getInt(const std::string &key, std::int64_t def,
+               std::int64_t min) const
 {
     const std::string *v = find(key);
     if (!v)
         return def;
+    std::int64_t x = 0;
     try {
-        return std::stoll(*v);
+        x = std::stoll(*v);
     } catch (...) {
         fatal("config key '", key, "' is not an integer: '", *v, "'");
     }
+    return atLeast(key, x, min);
 }
 
 std::uint64_t
-Config::getUint(const std::string &key, std::uint64_t def) const
+Config::getUint(const std::string &key, std::uint64_t def,
+                std::uint64_t min) const
 {
     const std::string *v = find(key);
     if (!v)
         return def;
+    std::uint64_t x = 0;
     try {
-        return std::stoull(*v);
+        // stoull accepts "-5" and wraps it; a sign is never valid here.
+        if (v->find('-') != std::string::npos)
+            throw std::invalid_argument("negative");
+        x = std::stoull(*v);
     } catch (...) {
         fatal("config key '", key, "' is not an unsigned integer: '", *v,
               "'");
     }
+    return atLeast(key, x, min);
 }
 
 double
-Config::getDouble(const std::string &key, double def) const
+Config::getDouble(const std::string &key, double def, double min) const
 {
     const std::string *v = find(key);
     if (!v)
         return def;
+    double x = 0.0;
     try {
-        return std::stod(*v);
+        x = std::stod(*v);
     } catch (...) {
         fatal("config key '", key, "' is not a number: '", *v, "'");
     }
+    return atLeast(key, x, min);
 }
 
 bool

@@ -12,6 +12,7 @@
 #define NOX_COMMON_CONFIG_HPP
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -44,13 +45,20 @@ class Config
     /** True if the key was explicitly set. */
     bool has(const std::string &key) const;
 
-    /** Typed getters; fall back to @p def when the key is absent. */
+    /** Typed getters; fall back to @p def when the key is absent. A
+     *  value below @p min is fatal, with a message naming the key. */
     std::string getString(const std::string &key,
                           const std::string &def = "") const;
-    std::int64_t getInt(const std::string &key, std::int64_t def = 0) const;
-    std::uint64_t getUint(const std::string &key,
-                          std::uint64_t def = 0) const;
-    double getDouble(const std::string &key, double def = 0.0) const;
+    std::int64_t
+    getInt(const std::string &key, std::int64_t def = 0,
+           std::int64_t min = std::numeric_limits<std::int64_t>::min())
+        const;
+    std::uint64_t getUint(const std::string &key, std::uint64_t def = 0,
+                          std::uint64_t min = 0) const;
+    double
+    getDouble(const std::string &key, double def = 0.0,
+              double min = -std::numeric_limits<double>::infinity())
+        const;
     bool getBool(const std::string &key, bool def = false) const;
 
     /** Parse a comma-separated list of doubles. */

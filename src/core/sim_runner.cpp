@@ -41,19 +41,17 @@ parseSyntheticConfig(const Config &config)
     SyntheticConfig c;
     c.arch = parseArch(config.getString("arch", "nox").c_str());
     c.pattern = parsePattern(config.getString("pattern", "uniform"));
-    c.injectionMBps = config.getDouble("rate_mbps", 1000.0);
+    c.injectionMBps = config.getDouble("rate_mbps", 1000.0, 0.0);
     c.selfSimilar = config.getBool("selfsimilar", false);
-    c.packetFlits =
-        static_cast<int>(config.getInt("packet_flits", 1));
-    c.width = static_cast<int>(config.getInt("width", 8));
-    c.height = static_cast<int>(config.getInt("height", 8));
+    c.packetFlits = static_cast<int>(config.getInt("packet_flits", 1, 1));
+    c.width = static_cast<int>(config.getInt("width", 8, 1));
+    c.height = static_cast<int>(config.getInt("height", 8, 1));
     c.concentration =
-        static_cast<int>(config.getInt("concentration", 1));
-    c.bufferDepth =
-        static_cast<int>(config.getInt("buffer_depth", 4));
+        static_cast<int>(config.getInt("concentration", 1, 1));
+    c.bufferDepth = static_cast<int>(config.getInt("buffer_depth", 4, 1));
     c.sinkBufferDepth = c.bufferDepth;
     c.warmupCycles = config.getUint("warmup", c.warmupCycles);
-    c.measureCycles = config.getUint("measure", c.measureCycles);
+    c.measureCycles = config.getUint("measure", c.measureCycles, 1);
     c.drainLimitCycles =
         config.getUint("drain_limit", c.drainLimitCycles);
     c.seed = config.getUint("seed", c.seed);
@@ -82,21 +80,38 @@ parseSyntheticConfig(const Config &config)
     return c;
 }
 
-double
-syntheticOfferedFlitsPerCycle(const SyntheticConfig &config)
+namespace {
+
+/** The physical model follows the topology: concentrated meshes have
+ *  higher-radix routers and (same die area, fewer routers)
+ *  proportionally longer channels — §8's future-work setting. */
+PhysicalParams
+syntheticPhysicalParams(const SyntheticConfig &config)
 {
-    // The physical model follows the topology: concentrated meshes
-    // have higher-radix routers and (same die area, fewer routers)
-    // proportionally longer channels — §8's future-work setting.
     PhysicalParams phys = config.phys;
     if (config.concentration > 1) {
         phys.ports = meshRadix(config.concentration);
         phys.linkLengthMm *= std::sqrt(
             static_cast<double>(config.concentration));
     }
-    const TimingModel timing(config.tech, phys);
+    return phys;
+}
+
+} // namespace
+
+double
+syntheticOfferedFlitsPerCycle(const SyntheticConfig &config)
+{
+    const TimingModel timing(config.tech, syntheticPhysicalParams(config));
     return mbpsToFlitsPerCycle(config.injectionMBps,
                                timing.clockPeriodNs(config.arch));
+}
+
+void
+applySyntheticSourceSchedule(Network &net, const SyntheticConfig &config)
+{
+    net.setSourcesEnabled(net.now() <
+                          config.warmupCycles + config.measureCycles);
 }
 
 SyntheticNet
@@ -201,17 +216,10 @@ runSynthetic(const SyntheticConfig &config)
     RunResult res;
     res.arch = config.arch;
 
-    PhysicalParams phys = config.phys;
-    if (config.concentration > 1) {
-        phys.ports = meshRadix(config.concentration);
-        phys.linkLengthMm *= std::sqrt(
-            static_cast<double>(config.concentration));
-    }
-    const TimingModel timing(config.tech, phys);
-    res.periodNs = timing.clockPeriodNs(config.arch);
+    const PhysicalParams phys = syntheticPhysicalParams(config);
+    res.periodNs = TimingModel(config.tech, phys).clockPeriodNs(config.arch);
     res.offeredMBps = config.injectionMBps;
-    res.offeredFlitsPerCycle =
-        mbpsToFlitsPerCycle(config.injectionMBps, res.periodNs);
+    res.offeredFlitsPerCycle = syntheticOfferedFlitsPerCycle(config);
 
     if (res.offeredFlitsPerCycle >= 1.0) {
         // Beyond the injection channel's peak: trivially saturated.
@@ -258,7 +266,7 @@ runSynthetic(const SyntheticConfig &config)
     if (!brackets.after)
         brackets.after = net->totalEnergyEvents();
 
-    net->setSourcesEnabled(false);
+    applySyntheticSourceSchedule(*net, config); // off: drain tail
     const Cycle deadline = m1 + config.drainLimitCycles;
     res.drained =
         net->drain(net->now() < deadline ? deadline - net->now() : 0);

@@ -185,6 +185,13 @@ SyntheticConfig parseSyntheticConfig(const Config &config);
  *  period from the arch's timing model, concentration-adjusted). */
 double syntheticOfferedFlitsPerCycle(const SyntheticConfig &config);
 
+/** The synthetic run's source schedule (runSynthetic, and `trace_tool
+ *  bisect` replaying it step by step): sources stay on until the
+ *  measurement window closes at warmup + measure, then stay off for
+ *  the drain tail. Sets @p net's sources for its current cycle. */
+void applySyntheticSourceSchedule(Network &net,
+                                  const SyntheticConfig &config);
+
 /**
  * A constructed-but-not-yet-run synthetic network: the Network plus
  * the destination pattern its sources reference (member order makes

@@ -80,7 +80,8 @@ parseSchedulingMode(const char *name)
 Network::Network(const NetworkParams &params, RouterFactory factory)
     : params_(params),
       mesh_(params.width, params.height, params.concentration),
-      table_(mesh_, params.routing), faultMap_(mesh_)
+      table_(mesh_, params.routing), faultMap_(mesh_),
+      obs_(params.obs, mesh_.numRouters())
 {
     NOX_ASSERT(factory, "router factory required");
 
@@ -156,46 +157,7 @@ Network::Network(const NetworkParams &params, RouterFactory factory)
     for (NodeId node = 0; node < nn; ++node)
         nics_[node]->bindActivity(&nicActive_[node]);
 
-    // Observability: the recorder and sampler are passive observers —
-    // they read committed state and counters but never mutate router,
-    // NIC, RNG or stats state, so enabling them cannot change a run.
-    if (params.obs.trace.enabled) {
-        tracer_ = std::make_unique<TraceRecorder>(params.obs.trace);
-        for (auto &r : routers_)
-            r->attachTracer(tracer_.get());
-        for (auto &nic : nics_)
-            nic->attachTracer(tracer_.get());
-        if (faults_)
-            faults_->attachTracer(tracer_.get());
-        prevRouterActive_ = routerActive_;
-        prevNicActive_ = nicActive_;
-    }
-    if (params.obs.metrics.enabled) {
-        metrics_ =
-            std::make_unique<MetricsSampler>(params.obs.metrics, nr);
-        lastLinkFlits_.assign(static_cast<std::size_t>(nr), 0);
-        lastCollisions_.assign(static_cast<std::size_t>(nr), 0);
-    }
-    if (params.obs.prov.enabled) {
-        prov_ = std::make_unique<LatencyProvenance>(params.obs.prov);
-        for (auto &r : routers_)
-            r->attachProvenance(prov_.get());
-        for (auto &nic : nics_)
-            nic->attachProvenance(prov_.get());
-    }
-    // Simulator self-observation: the profiler reads only the host
-    // clock, the heartbeat reads committed counters — neither can
-    // perturb the run (observer-effect tested like the rest).
-    if (params.obs.profile.enabled) {
-        profiler_ =
-            std::make_unique<PhaseProfiler>(params.obs.profile, nr);
-    }
-    if (params.obs.telemetry.enabled)
-        telemetry_ = std::make_unique<RunTelemetry>(params.obs.telemetry);
-    if (params.obs.digest.enabled) {
-        digest_ = std::make_unique<DigestLedger>(params.obs.digest);
-        digest_->writeHeader(fingerprint());
-    }
+    obs_.connect(*this);
 }
 
 void
@@ -349,13 +311,13 @@ Network::applyDueHardFaults(bool at_construction)
 
     table_.rebuild(faultMap_);
     stats_.faults.tableRebuilds += 1;
-    if (tracer_) {
-        tracer_->record(TraceEventKind::TableRebuild, kInvalidNode, -1,
-                        table_.rebuilds(),
-                        static_cast<std::uint32_t>(due.size()));
-    }
     if (at_construction)
-        return; // nothing in flight; routers stay pristine
+        return; // nothing in flight, nothing traced; routers pristine
+    if (TraceRecorder *tracer = obs_.tracer()) {
+        tracer->record(TraceEventKind::TableRebuild, kInvalidNode, -1,
+                       table_.rebuilds(),
+                       static_cast<std::uint32_t>(due.size()));
+    }
 
     // Mid-run: every router drops wormhole/reservation state that the
     // new topology may have invalidated, and enters degraded mode.
@@ -418,12 +380,12 @@ Network::applyDueHardFaults(bool at_construction)
     } while (!pending.empty());
 
     stats_.faults.flitsLostHard += lostUids.size();
-    if (prov_) {
+    if (LatencyProvenance *prov = obs_.provenance()) {
         // Written-off flits will never be delivered: their open spans
         // are abandoned (they were never measured anyway).
         std::vector<std::uint64_t> uids(lostUids.begin(),
                                         lostUids.end());
-        prov_->forgetFlits(uids);
+        prov->forgetFlits(uids);
     }
     if (transport_) {
         // With the E2E transport on, a purged wire packet is a
@@ -455,10 +417,10 @@ Network::checkPacketAges()
         if (now_ - created <= limit)
             break; // everyone behind is younger still
         stats_.faults.ageAlarms += 1;
-        if (tracer_ && !ageDumpLatched_) {
+        if (obs_.tracer() && !ageDumpLatched_) {
             // Livelock alarm: latch the flight recorder exactly once.
             ageDumpLatched_ = true;
-            tracer_->triggerFlightDump("age-limit", {});
+            obs_.tracer()->triggerFlightDump("age-limit", {});
         }
         ageQueue_.pop_front(); // alarm once per packet
     }
@@ -474,7 +436,8 @@ Network::addSource(std::unique_ptr<TrafficSource> source)
 void
 Network::step()
 {
-    PhaseProfiler *const prof = profiler_.get();
+    PhaseProfiler *const prof = obs_.profiler();
+    TraceRecorder *const tracer = obs_.tracer();
     const int nr = numRouters();
     const int nn = numNodes();
     // One loop for every kernel: always-tick is the active set pinned
@@ -517,11 +480,9 @@ Network::step()
         if (transport_)
             transport_->sweep(now_, *this);
     }
-    if (tracer_) {
+    if (tracer) {
         ProfScope ps(prof, SimPhase::ObsFlush);
-        tracer_->beginCycle(now_);
-        if (retire)
-            traceWakes();
+        obs_.beginCycle(*this, retire);
     }
 
     // 1. Traffic generation always runs: sources draw from their RNG
@@ -600,10 +561,8 @@ Network::step()
             if (retire && routerActive_[r] &&
                 routers_[r]->quiescent()) {
                 routerActive_[r] = 0;
-                if (tracer_) {
-                    tracer_->record(TraceEventKind::SchedRetire, r,
-                                    -1, 0);
-                }
+                if (tracer)
+                    tracer->record(TraceEventKind::SchedRetire, r, -1, 0);
             }
         }
         for (NodeId n = 0; n < nn; ++n) {
@@ -613,133 +572,20 @@ Network::step()
             sampleSourceQueue(n);
             if (retire && nicActive_[n] && nics_[n]->quiescent()) {
                 nicActive_[n] = 0;
-                if (tracer_) {
-                    tracer_->record(TraceEventKind::SchedRetire, n,
-                                    -1, 0, 0, true);
+                if (tracer) {
+                    tracer->record(TraceEventKind::SchedRetire, n, -1,
+                                   0, 0, true);
                 }
             }
         }
         ++now_;
     }
-    if (metrics_ && metrics_->windowEnds(now_)) {
-        ProfScope ps(prof, SimPhase::ObsFlush);
-        sampleMetricsWindow();
-    }
-    if (checkpointInterval_ != 0 && now_ % checkpointInterval_ == 0 &&
-        checkpointHook_) {
-        ProfScope ps(prof, SimPhase::Checkpoint);
-        checkpointHook_(*this);
-        if (telemetry_)
-            telemetry_->noteCheckpoint(now_);
-    }
-
-    // Deliberate-divergence knob (test/debug only): fires after the
-    // kernel committed the step ending at now_, before the digest
-    // stride below — so the first differing stride carries exactly
-    // this cycle (see NetworkParams::debugPerturbCycle).
-    if (params_.debugPerturbCycle != 0 &&
-        now_ == params_.debugPerturbCycle) {
-        routers_[static_cast<std::size_t>(params_.debugPerturbRouter)]
-            ->debugPerturb();
-    }
-    if (digest_ && digest_->due(now_)) {
-        ProfScope ps(prof, SimPhase::ObsFlush);
-        digest_->record(computeDigestStride(digest_->scratch()));
-    }
-    if (telemetry_ && telemetry_->due(now_)) {
-        ProfScope ps(prof, SimPhase::ObsFlush);
-        TelemetrySample s = telemetrySample();
-        s.checkpointAge = telemetry_->checkpointAge(now_);
-        telemetry_->beat(s);
-    }
+    // Metrics window, checkpoint, divergence knob, digest stride and
+    // heartbeat, each on its due cycle (see ObsHub::endStep).
+    if (obs_.endStepArmed())
+        obs_.endStep(*this);
     if (prof)
         prof->endStep();
-}
-
-void
-Network::traceWakes()
-{
-    // A component whose flag went 0 -> 1 since the last cycle's edge
-    // scan was woken by some staging (or fresh traffic); record the
-    // edge against the cycle it first gets evaluated as active.
-    for (NodeId r = 0; r < numRouters(); ++r) {
-        if (routerActive_[r] && !prevRouterActive_[r])
-            tracer_->record(TraceEventKind::SchedWake, r, -1, 0);
-        prevRouterActive_[r] = routerActive_[r];
-    }
-    for (NodeId n = 0; n < numNodes(); ++n) {
-        if (nicActive_[n] && !prevNicActive_[n])
-            tracer_->record(TraceEventKind::SchedWake, n, -1, 0, 0,
-                            true);
-        prevNicActive_[n] = nicActive_[n];
-    }
-}
-
-void
-Network::sampleMetricsWindow()
-{
-    std::vector<RouterWindowSample> samples;
-    samples.reserve(routers_.size());
-    for (NodeId r = 0; r < numRouters(); ++r) {
-        const Router &router = *routers_[r];
-        RouterWindowSample s;
-        s.bufferedFlits = router.bufferedFlits();
-        const std::uint64_t link = router.energy().linkFlits;
-        const std::uint64_t coll = router.xorCollisions();
-        s.linkFlits =
-            static_cast<std::uint32_t>(link - lastLinkFlits_[r]);
-        s.xorCollisions =
-            static_cast<std::uint32_t>(coll - lastCollisions_[r]);
-        lastLinkFlits_[r] = link;
-        lastCollisions_[r] = coll;
-        s.retryPending = router.retryPending();
-        s.active = routerActive_[r] != 0;
-        samples.push_back(s);
-    }
-    metrics_->recordWindow(now_, std::move(samples), activeRouters(),
-                           activeNics());
-}
-
-void
-Network::finishObservability()
-{
-    if (metrics_) {
-        if (metrics_->openWindowDirty(now_))
-            sampleMetricsWindow();
-        if (!metrics_->params().jsonlPath.empty())
-            metrics_->writeJsonl(metrics_->params().jsonlPath);
-    }
-    if (tracer_ && !tracer_->params().chromePath.empty()) {
-        tracer_->writeChromeTrace(tracer_->params().chromePath,
-                                  params_.width,
-                                  params_.concentration);
-    }
-    // End-of-run flight dump: a deterministic input for offline
-    // timeline reconstruction (trace_tool analyze) even when no
-    // failure trigger fired during the run.
-    if (tracer_ && tracer_->params().flightOnExit &&
-        !tracer_->flightDumped())
-        tracer_->triggerFlightDump("end-of-run", {});
-    if (prov_ && !prov_->params().jsonlPath.empty())
-        prov_->writeJsonl(prov_->params().jsonlPath);
-    if (profiler_) {
-        // Derived work counters come from the routers' monotonic
-        // energy-event counters — free on the hot path, exact here.
-        for (NodeId r = 0; r < numRouters(); ++r) {
-            const EnergyEvents &e = routers_[r]->energy();
-            profiler_->recordRouterWork(
-                r, e.linkFlits + e.localLinkFlits, e.arbDecisions);
-        }
-        if (!profiler_->params().jsonlPath.empty()) {
-            ProfileMeta meta;
-            meta.width = params_.width;
-            meta.height = params_.height;
-            meta.arch = archName(routers_[0]->arch());
-            meta.sched = schedulingModeName(params_.schedulingMode);
-            profiler_->writeJsonl(profiler_->params().jsonlPath,
-                                  meta);
-        }
-    }
 }
 
 TelemetrySample
@@ -763,10 +609,9 @@ Network::telemetrySample() const
     const FlitArenaStats &arena = FlitArena::instance().stats();
     s.arenaLive = arena.live();
     s.arenaGrowths = arena.growths;
-    if (digest_) {
-        s.digestStrides =
-            static_cast<std::int64_t>(digest_->strideCount());
-        s.lastDigestCycle = digest_->lastDigestCycle();
+    if (const DigestLedger *digest = obs_.digest()) {
+        s.digestStrides = static_cast<std::int64_t>(digest->strideCount());
+        s.lastDigestCycle = digest->lastDigestCycle();
     }
     return s;
 }
@@ -829,9 +674,9 @@ Network::drain(Cycle limit)
         // Flight recorder: a drain timeout is exactly the situation
         // the ring exists for — dump the recent event history around
         // the stuck components before anyone tears the network down.
-        if (tracer_) {
-            tracer_->triggerFlightDump("drain-timeout",
-                                       drainReport_.busyRouters);
+        if (TraceRecorder *tracer = obs_.tracer()) {
+            tracer->triggerFlightDump("drain-timeout",
+                                      drainReport_.busyRouters);
         }
     }
     return drainReport_.drained;
@@ -843,8 +688,8 @@ Network::setMeasurementWindow(Cycle start, Cycle end)
     NOX_ASSERT(start < end, "empty measurement window");
     stats_.measureStart = start;
     stats_.measureEnd = end;
-    if (prov_)
-        prov_->setMeasurementWindow(start, end);
+    if (LatencyProvenance *prov = obs_.provenance())
+        prov->setMeasurementWindow(start, end);
 }
 
 std::uint64_t
@@ -909,9 +754,9 @@ Network::injectPacket(NodeId src, NodeId dst, int num_flits, Cycle now,
     // the packet is refused and counted, never silently stranded.
     if (!table_.reachable(src, dst)) {
         stats_.faults.unreachableRejected += 1;
-        if (tracer_) {
-            tracer_->record(TraceEventKind::UnreachableReject, src, -1,
-                            static_cast<std::uint64_t>(dst), 0, true);
+        if (TraceRecorder *tracer = obs_.tracer()) {
+            tracer->record(TraceEventKind::UnreachableReject, src, -1,
+                           static_cast<std::uint64_t>(dst), 0, true);
         }
         return kInvalidPacket;
     }
@@ -931,17 +776,17 @@ Network::injectPacket(NodeId src, NodeId dst, int num_flits, Cycle now,
     const std::vector<FlitDesc> &flits =
         buildFlits(id, static_cast<std::uint32_t>(num_flits), src, dst,
                    now, cls, flow_seq);
-    if (prov_)
-        prov_->onPacketCreate(flits, now);
+    if (LatencyProvenance *prov = obs_.provenance())
+        prov->onPacketCreate(flits, now);
     if (transport_)
         transport_->onInject(flits.front(), now);
     nics_[src]->enqueuePacket(flits);
 
-    if (tracer_) {
-        tracer_->record(TraceEventKind::PacketCreate, src, -1, id,
-                        (static_cast<std::uint32_t>(dst) << 16) |
-                            static_cast<std::uint32_t>(num_flits),
-                        true);
+    if (TraceRecorder *tracer = obs_.tracer()) {
+        tracer->record(TraceEventKind::PacketCreate, src, -1, id,
+                       (static_cast<std::uint32_t>(dst) << 16) |
+                           static_cast<std::uint32_t>(num_flits),
+                       true);
     }
     stats_.packetsInjected += 1;
     stats_.flitsInjected += static_cast<std::uint64_t>(num_flits);
@@ -993,15 +838,6 @@ Network::sourceQueueFlits(NodeId node) const
     return nics_[node]->sourceQueueFlits();
 }
 
-void
-Network::installCheckpoint(Cycle interval,
-                           std::function<void(Network &)> hook)
-{
-    NOX_ASSERT(interval > 0, "checkpoint interval must be positive");
-    checkpointInterval_ = interval;
-    checkpointHook_ = std::move(hook);
-}
-
 std::string
 Network::fingerprint() const
 {
@@ -1047,13 +883,7 @@ Network::fingerprint() const
                << f.churnRouters;
         }
     }
-    os << " trace=" << (params_.obs.trace.enabled ? 1 : 0);
-    if (params_.obs.trace.enabled)
-        os << "/" << params_.obs.trace.capacity;
-    os << " metrics=" << (params_.obs.metrics.enabled ? 1 : 0);
-    if (params_.obs.metrics.enabled)
-        os << "/" << params_.obs.metrics.interval;
-    os << " prov=" << (params_.obs.prov.enabled ? 1 : 0);
+    obs_.fingerprint(os);
     // The digest ledger is deliberately absent here (per-run output,
     // not construction geometry), but a deliberate perturbation is a
     // real behavioral difference: two networks that perturb
@@ -1166,16 +996,7 @@ Network::walk(Ar &ar, Self &self)
     };
     flags(self.routerActive_);
     flags(self.nicActive_);
-    ar.expect(!self.prevRouterActive_.empty(),
-              "trace-activity state presence mismatch (wrong config)");
-    flags(self.prevRouterActive_);
-    flags(self.prevNicActive_);
-    ar.expect(!self.lastLinkFlits_.empty(),
-              "metrics window-counter presence mismatch (wrong config)");
-    for (auto &v : self.lastLinkFlits_)
-        ar(v);
-    for (auto &v : self.lastCollisions_)
-        ar(v);
+    ObsHub::walkBookkeeping(ar, self.obs_);
 
     for (auto &r : self.routers_)
         ar(*r);
@@ -1192,11 +1013,7 @@ Network::walk(Ar &ar, Self &self)
     };
     optional(self.faults_,
              "fault-injection presence mismatch (wrong config)");
-    optional(self.tracer_,
-             "trace recorder presence mismatch (wrong config)");
-    optional(self.metrics_,
-             "metrics sampler presence mismatch (wrong config)");
-    optional(self.prov_, "provenance presence mismatch (wrong config)");
+    ObsHub::walkObservers(ar, self.obs_);
     optional(self.transport_,
              "E2E-transport presence mismatch (wrong config)");
 }
@@ -1253,8 +1070,8 @@ Network::onFlitDelivered(NodeId, const FlitDesc &, Cycle now)
         now >= stats_.measureStart && now < stats_.measureEnd;
     if (measured)
         stats_.flitsEjectedInWindow += 1;
-    if (metrics_)
-        metrics_->onFlitEjected(measured);
+    if (MetricsSampler *metrics = obs_.metrics())
+        metrics->onFlitEjected(measured);
 }
 
 bool
@@ -1269,13 +1086,13 @@ Network::onE2eResend(PacketId base, const TransportEntry &e)
     const std::vector<FlitDesc> &flits =
         buildFlits(attemptPacket(base, e.attempt), e.numFlits, e.src,
                    e.dest, e.origCreate, e.cls, e.flowSeq);
-    if (prov_)
-        prov_->onRetransmit(flits, now_);
+    if (LatencyProvenance *prov = obs_.provenance())
+        prov->onRetransmit(flits, now_);
     nics_[e.src]->enqueuePacket(flits);
     stats_.faults.e2eRetransmits += 1;
-    if (tracer_) {
-        tracer_->record(TraceEventKind::E2eRetransmit, e.src, -1, base,
-                        e.attempt, true);
+    if (TraceRecorder *tracer = obs_.tracer()) {
+        tracer->record(TraceEventKind::E2eRetransmit, e.src, -1, base,
+                       e.attempt, true);
     }
     return true;
 }
@@ -1283,10 +1100,9 @@ Network::onE2eResend(PacketId base, const TransportEntry &e)
 void
 Network::onE2eAck(PacketId base, const TransportEntry &e)
 {
-    if (tracer_) {
-        tracer_->record(TraceEventKind::E2eAck, e.src, -1, base,
-                        e.retries, true);
-    }
+    if (TraceRecorder *tracer = obs_.tracer())
+        tracer->record(TraceEventKind::E2eAck, e.src, -1, base, e.retries,
+                       true);
 }
 
 void
@@ -1322,8 +1138,8 @@ Network::onPacketCompleted(NodeId node, const FlitDesc &last_flit,
                 nics_[node]->forgetArrived(other);
         }
     }
-    if (tracer_) {
-        tracer_->record(
+    if (TraceRecorder *tracer = obs_.tracer()) {
+        tracer->record(
             TraceEventKind::PacketDone, node, -1, packet,
             static_cast<std::uint32_t>(now - last_flit.createCycle),
             true);

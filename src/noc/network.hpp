@@ -25,11 +25,11 @@
 #include "noc/fault_injector.hpp"
 #include "noc/network_stats.hpp"
 #include "noc/nic.hpp"
+#include "noc/obs_hub.hpp"
 #include "noc/router.hpp"
 #include "noc/routing_table.hpp"
 #include "noc/traffic_source.hpp"
 #include "noc/transport.hpp"
-#include "obs/obs_params.hpp"
 
 namespace nox {
 
@@ -200,29 +200,22 @@ class Network : public PacketInjector,
     FaultInjector *faultInjector() { return faults_.get(); }
     const FaultInjector *faultInjector() const { return faults_.get(); }
 
-    /** The trace recorder, or nullptr when tracing is disabled. */
-    TraceRecorder *tracer() { return tracer_.get(); }
-    const TraceRecorder *tracer() const { return tracer_.get(); }
-
-    /** The metrics sampler, or nullptr when sampling is disabled. */
-    MetricsSampler *metrics() { return metrics_.get(); }
-    const MetricsSampler *metrics() const { return metrics_.get(); }
-
-    /** The latency-provenance observer, or nullptr when disabled. */
-    LatencyProvenance *provenance() { return prov_.get(); }
-    const LatencyProvenance *provenance() const { return prov_.get(); }
-
-    /** The simulator self-profiler, or nullptr when disabled. */
-    PhaseProfiler *profiler() { return profiler_.get(); }
-    const PhaseProfiler *profiler() const { return profiler_.get(); }
-
-    /** The run-telemetry heartbeat, or nullptr when disabled. */
-    RunTelemetry *telemetry() { return telemetry_.get(); }
-    const RunTelemetry *telemetry() const { return telemetry_.get(); }
-
-    /** The state-digest ledger, or nullptr when disabled. */
-    DigestLedger *digest() { return digest_.get(); }
-    const DigestLedger *digest() const { return digest_.get(); }
+    /** The six observers (see ObsHub), each nullptr when disabled. */
+    TraceRecorder *tracer() { return obs_.tracer(); }
+    const TraceRecorder *tracer() const { return obs_.tracer(); }
+    MetricsSampler *metrics() { return obs_.metrics(); }
+    const MetricsSampler *metrics() const { return obs_.metrics(); }
+    LatencyProvenance *provenance() { return obs_.provenance(); }
+    const LatencyProvenance *provenance() const
+    {
+        return obs_.provenance();
+    }
+    PhaseProfiler *profiler() { return obs_.profiler(); }
+    const PhaseProfiler *profiler() const { return obs_.profiler(); }
+    RunTelemetry *telemetry() { return obs_.telemetry(); }
+    const RunTelemetry *telemetry() const { return obs_.telemetry(); }
+    DigestLedger *digest() { return obs_.digest(); }
+    const DigestLedger *digest() const { return obs_.digest(); }
 
     /**
      * Capture one digest stride of the current state: the canonical
@@ -248,7 +241,7 @@ class Network : public PacketInjector,
      * JSONL, Chrome trace JSON). Idempotent on the window flush;
      * call once after the last step()/drain().
      */
-    void finishObservability();
+    void finishObservability() { obs_.finish(*this); }
 
     std::uint64_t packetsInFlight() const;
 
@@ -272,8 +265,11 @@ class Network : public PacketInjector,
      * to serialize around the network section and where to write it —
      * the Network itself never touches the filesystem.
      */
-    void installCheckpoint(Cycle interval,
-                           std::function<void(Network &)> hook);
+    void
+    installCheckpoint(Cycle interval, std::function<void(Network &)> hook)
+    {
+        obs_.installCheckpoint(interval, std::move(hook));
+    }
 
     /**
      * Construction-parameter fingerprint embedded in snapshots and
@@ -315,12 +311,7 @@ class Network : public PacketInjector,
     const E2eTransport *transport() const { return transport_.get(); }
 
   private:
-    /** Emit SchedWake for components that (re)entered the active set
-     *  since the previous cycle (tracing + retiring kernels only). */
-    void traceWakes();
-
-    /** Close the metrics window ending at the current cycle. */
-    void sampleMetricsWindow();
+    friend class ObsHub; // reads routers, NICs and active-set flags
 
     /** Build one wire packet's flits (ids, payloads, VC by class)
      *  into the reused scratchInjectFlits_ buffer. */
@@ -415,30 +406,8 @@ class Network : public PacketInjector,
     std::vector<std::unique_ptr<TrafficSource>> sources_;
     std::unique_ptr<FaultInjector> faults_;
     std::unique_ptr<E2eTransport> transport_;
-    std::unique_ptr<TraceRecorder> tracer_;
-    std::unique_ptr<MetricsSampler> metrics_;
-    std::unique_ptr<LatencyProvenance> prov_;
-    /** Self-profiler and heartbeat: per-process wall-clock observers,
-     *  so deliberately neither serialized nor fingerprinted — a
-     *  resumed run may toggle them freely. */
-    std::unique_ptr<PhaseProfiler> profiler_;
-    std::unique_ptr<RunTelemetry> telemetry_;
-    /** State-digest ledger: per-run *output* about the trajectory,
-     *  not simulation state — neither serialized nor fingerprinted,
-     *  so a bisection re-run may restore a digest-off checkpoint
-     *  into a digest-on network. */
-    std::unique_ptr<DigestLedger> digest_;
+    ObsHub obs_;
     DrainReport drainReport_;
-
-    /** Per-router counter values at the last closed metrics window
-     *  (to form window deltas of the monotonic counters). */
-    std::vector<std::uint64_t> lastLinkFlits_;
-    std::vector<std::uint64_t> lastCollisions_;
-
-    /** Previous-cycle active flags (SchedWake edge detection; only
-     *  maintained when tracing a scheduled kernel). */
-    std::vector<std::uint8_t> prevRouterActive_;
-    std::vector<std::uint8_t> prevNicActive_;
 
     /** Active-set flags, indexed by router / node id. Routers and
      *  NICs hold pointers into these (bindActivity) and set them on
@@ -452,10 +421,6 @@ class Network : public PacketInjector,
     Cycle now_ = 0;
     PacketId nextPacket_ = 1;
     bool sourcesEnabled_ = true;
-
-    /** Periodic checkpoint trigger (0 = disabled). */
-    Cycle checkpointInterval_ = 0;
-    std::function<void(Network &)> checkpointHook_;
 
     /** Per-flow (src, dest) end-to-end sequence numbers, stamped at
      *  injection and checked at completion (faults enabled only). */

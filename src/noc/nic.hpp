@@ -68,12 +68,14 @@ class Nic
      *  asserting (nullptr = fault-free, legacy behavior). */
     void attachFaults(FaultInjector *faults) { faults_ = faults; }
 
-    /** Attach the network's trace recorder (nullptr = tracing off). */
-    void attachTracer(TraceRecorder *tracer) { tracer_ = tracer; }
-
-    /** Attach the network's latency-provenance observer (nullptr =
-     *  off). */
-    void attachProvenance(LatencyProvenance *prov) { prov_ = prov; }
+    /** Attach the network's trace recorder and latency-provenance
+     *  observer (nullptr = that observer is off). */
+    void
+    attachObservers(TraceRecorder *tracer, LatencyProvenance *prov)
+    {
+        tracer_ = tracer;
+        prov_ = prov;
+    }
 
     /** Attach the network's E2E transport (nullptr = off). The sink
      *  then drops duplicate flits — stragglers of already-completed

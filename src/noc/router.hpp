@@ -148,15 +148,16 @@ class Router
      *  every hot path then behaves exactly as before). */
     void attachFaults(FaultInjector *faults);
 
-    /** Attach the network's trace recorder (nullptr = tracing off;
-     *  every emission site is guarded by this pointer, so disabled
-     *  tracing costs one predictable branch). */
-    void attachTracer(TraceRecorder *tracer) { tracer_ = tracer; }
-
-    /** Attach the network's latency-provenance observer (nullptr =
-     *  off; every charge site is guarded by this pointer just like
-     *  the tracer's emission sites). */
-    void attachProvenance(LatencyProvenance *prov) { prov_ = prov; }
+    /** Attach the network's trace recorder and latency-provenance
+     *  observer (nullptr = that observer is off; every emission and
+     *  charge site is guarded by its pointer, so a disabled observer
+     *  costs one predictable branch). */
+    void
+    attachObservers(TraceRecorder *tracer, LatencyProvenance *prov)
+    {
+        tracer_ = tracer;
+        prov_ = prov;
+    }
 
     // -- interface used by upstream neighbours / NICs --
     void stageFlit(int in_port, WireFlit &&flit);

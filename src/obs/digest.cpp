@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "common/jsonl.hpp"
 #include "common/log.hpp"
 
 namespace nox {
@@ -38,64 +39,6 @@ hex16(DigestHash h)
     return s;
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
-
-/** Position just past `"key": ` in a single-line JSON object, or
- *  npos when the key is absent. */
-std::size_t
-fieldPos(const std::string &line, const char *key)
-{
-    const std::string needle = std::string("\"") + key + "\":";
-    const std::size_t at = line.find(needle);
-    if (at == std::string::npos)
-        return std::string::npos;
-    std::size_t p = at + needle.size();
-    while (p < line.size() && line[p] == ' ')
-        ++p;
-    return p;
-}
-
-bool
-findU64(const std::string &line, const char *key, std::uint64_t *out)
-{
-    const std::size_t p = fieldPos(line, key);
-    if (p == std::string::npos || p >= line.size())
-        return false;
-    *out = std::strtoull(line.c_str() + p, nullptr, 10);
-    return true;
-}
-
-bool
-findString(const std::string &line, const char *key, std::string *out)
-{
-    std::size_t p = fieldPos(line, key);
-    if (p == std::string::npos || p >= line.size() || line[p] != '"')
-        return false;
-    ++p;
-    std::string s;
-    while (p < line.size() && line[p] != '"') {
-        if (line[p] == '\\' && p + 1 < line.size())
-            ++p;
-        s.push_back(line[p]);
-        ++p;
-    }
-    if (p >= line.size())
-        return false; // unterminated string
-    *out = std::move(s);
-    return true;
-}
-
 bool
 parseHex(const std::string &s, DigestHash *out)
 {
@@ -110,33 +53,22 @@ bool
 findHex(const std::string &line, const char *key, DigestHash *out)
 {
     std::string s;
-    return findString(line, key, &s) && parseHex(s, out);
+    return jsonl::find(line, key, s) && parseHex(s, out);
 }
 
 bool
 findHexArray(const std::string &line, const char *key,
              std::vector<DigestHash> *out)
 {
-    std::size_t p = fieldPos(line, key);
-    if (p == std::string::npos || p >= line.size() || line[p] != '[')
+    std::vector<std::string> items;
+    if (!jsonl::find(line, key, items))
         return false;
-    ++p;
-    out->clear();
-    while (p < line.size() && line[p] != ']') {
-        if (line[p] == '"') {
-            std::size_t close = line.find('"', p + 1);
-            if (close == std::string::npos)
-                return false;
-            DigestHash h = 0;
-            if (!parseHex(line.substr(p + 1, close - p - 1), &h))
-                return false;
-            out->push_back(h);
-            p = close + 1;
-        } else {
-            ++p;
-        }
+    out->assign(items.size(), 0);
+    for (std::size_t i = 0; i < items.size(); ++i) {
+        if (!parseHex(items[i], &(*out)[i]))
+            return false;
     }
-    return p < line.size();
+    return true;
 }
 
 } // namespace
@@ -228,7 +160,7 @@ DigestLedger::writeHeader(const std::string &fingerprint)
         return;
     out_ << "{\"type\": \"digest_header\", \"interval\": "
          << params_.interval << ", \"fingerprint\": \""
-         << jsonEscape(fingerprint) << "\"}\n";
+         << jsonl::escape(fingerprint) << "\"}\n";
     out_.flush();
 }
 
@@ -277,24 +209,29 @@ loadDigestLedger(const std::string &path, LedgerFile *out,
         if (line.empty())
             continue;
         std::string type;
-        if (!findString(line, "type", &type)) {
+        if (!jsonl::find(line, "type", type)) {
             *err = path + ":" + std::to_string(lineno) +
                    ": missing \"type\" field";
             return false;
         }
         if (type == "digest_header") {
-            std::uint64_t interval = 0;
-            findU64(line, "interval", &interval);
-            out->interval = interval;
-            findString(line, "fingerprint", &out->fingerprint);
+            // A missing or non-numeric interval must not read as 0:
+            // compareLedgers treats 0 as "unknown" and skips its
+            // interval-mismatch check.
+            if (!jsonl::find(line, "interval", out->interval) ||
+                out->interval == 0) {
+                *err = path + ":" + std::to_string(lineno) +
+                       ": malformed digest header interval";
+                return false;
+            }
+            jsonl::find(line, "fingerprint", out->fingerprint);
             continue;
         }
         if (type != "digest")
             continue; // foreign record kinds are tolerated
         DigestStride s;
-        std::uint64_t cycle = 0;
         DigestHash fold = 0;
-        if (!findU64(line, "cycle", &cycle) ||
+        if (!jsonl::find(line, "cycle", s.cycle) ||
             !findHex(line, "fold", &fold) ||
             !findHex(line, "global", &s.global) ||
             !findHex(line, "sources", &s.sources) ||
@@ -306,7 +243,6 @@ loadDigestLedger(const std::string &path, LedgerFile *out,
                    ": malformed digest record";
             return false;
         }
-        s.cycle = cycle;
         if (s.fold() != fold) {
             *err = path + ":" + std::to_string(lineno) +
                    ": fold mismatch (corrupt or hand-edited ledger)";

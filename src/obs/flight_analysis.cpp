@@ -1,49 +1,15 @@
 #include "obs/flight_analysis.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
 
+#include "common/jsonl.hpp"
 #include "common/log.hpp"
 #include "noc/flit.hpp"
 
 namespace nox {
-
-namespace {
-
-/** Find `"key":<integer>` in a single-line JSON object. */
-bool
-findInt(const std::string &line, const char *key, long long &out)
-{
-    const std::string pat = std::string("\"") + key + "\":";
-    const std::size_t pos = line.find(pat);
-    if (pos == std::string::npos)
-        return false;
-    const char *start = line.c_str() + pos + pat.size();
-    char *end = nullptr;
-    out = std::strtoll(start, &end, 10);
-    return end != start;
-}
-
-/** Find `"key":"<string>"` in a single-line JSON object. */
-bool
-findString(const std::string &line, const char *key, std::string &out)
-{
-    const std::string pat = std::string("\"") + key + "\":\"";
-    const std::size_t pos = line.find(pat);
-    if (pos == std::string::npos)
-        return false;
-    const std::size_t start = pos + pat.size();
-    const std::size_t close = line.find('"', start);
-    if (close == std::string::npos)
-        return false;
-    out = line.substr(start, close - start);
-    return true;
-}
-
-} // namespace
 
 bool
 loadFlightDump(const std::string &path, FlightDump &out,
@@ -57,28 +23,20 @@ loadFlightDump(const std::string &path, FlightDump &out,
 
     std::string line;
     if (!std::getline(in, line) ||
-        !findString(line, "flight_recorder", out.reason)) {
+        !jsonl::find(line, "flight_recorder", out.reason)) {
         error = path + ": missing flight_recorder header";
         return false;
     }
-    long long v = 0;
-    if (findInt(line, "cycle", v))
-        out.dumpCycle = static_cast<Cycle>(v);
-    if (findInt(line, "first_cycle", v))
-        out.firstCycle = static_cast<Cycle>(v);
-    if (findInt(line, "last_cycle", v))
-        out.lastCycle = static_cast<Cycle>(v);
-    const std::size_t imp = line.find("\"implicated\":[");
-    if (imp != std::string::npos) {
-        const char *p = line.c_str() + imp + 14;
-        while (*p != ']' && *p != '\0') {
-            char *end = nullptr;
-            const long long node = std::strtoll(p, &end, 10);
-            if (end == p)
-                break;
-            out.implicated.push_back(static_cast<NodeId>(node));
-            p = (*end == ',') ? end + 1 : end;
-        }
+    jsonl::find(line, "cycle", out.dumpCycle);
+    jsonl::find(line, "first_cycle", out.firstCycle);
+    jsonl::find(line, "last_cycle", out.lastCycle);
+    std::vector<std::string> implicated;
+    jsonl::find(line, "implicated", implicated);
+    for (const std::string &item : implicated) {
+        std::int64_t node = 0;
+        if (!jsonl::parse(item, node))
+            break;
+        out.implicated.push_back(static_cast<NodeId>(node));
     }
 
     std::size_t lineno = 1;
@@ -88,11 +46,11 @@ loadFlightDump(const std::string &path, FlightDump &out,
             continue;
         FlightEvent e;
         std::string kind;
-        long long c = 0, n = 0, nic = 0, p = 0, id = 0, a = 0;
-        if (!findInt(line, "c", c) || !findString(line, "k", kind) ||
-            !findInt(line, "n", n) || !findInt(line, "nic", nic) ||
-            !findInt(line, "p", p) || !findInt(line, "id", id) ||
-            !findInt(line, "a", a)) {
+        std::int64_t c = 0, n = 0, nic = 0, p = 0, id = 0, a = 0;
+        if (!jsonl::find(line, "c", c) || !jsonl::find(line, "k", kind) ||
+            !jsonl::find(line, "n", n) || !jsonl::find(line, "nic", nic) ||
+            !jsonl::find(line, "p", p) || !jsonl::find(line, "id", id) ||
+            !jsonl::find(line, "a", a)) {
             std::ostringstream os;
             os << path << ":" << lineno << ": malformed event line";
             error = os.str();

@@ -134,6 +134,29 @@ TEST(ConfigDeathTest, BadIntegerDies)
                 "not an integer");
 }
 
+TEST(ConfigDeathTest, ValueBelowMinimumDiesNamingTheKey)
+{
+    Config c;
+    c.set("w", std::int64_t{0});
+    c.set("u", std::int64_t{0});
+    c.set("d", -5.0);
+    EXPECT_EQ(c.getInt("absent", 0, 1), 0) << "defaults are not checked";
+    EXPECT_EXIT((void)c.getInt("w", 8, 1), ::testing::ExitedWithCode(1),
+                "'w' must be at least 1, got 0");
+    EXPECT_EXIT((void)c.getUint("u", 8, 1), ::testing::ExitedWithCode(1),
+                "'u' must be at least 1, got 0");
+    EXPECT_EXIT((void)c.getDouble("d", 1.0, 0.0),
+                ::testing::ExitedWithCode(1), "'d' must be at least 0");
+}
+
+TEST(ConfigDeathTest, NegativeUnsignedDies)
+{
+    Config c;
+    c.set("measure", std::int64_t{-5});
+    EXPECT_EXIT((void)c.getUint("measure"), ::testing::ExitedWithCode(1),
+                "'measure' is not an unsigned integer");
+}
+
 TEST(ConfigDeathTest, BadBoolDies)
 {
     Config c;

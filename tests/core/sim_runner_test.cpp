@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "coherence/trace_generator.hpp"
+#include "common/config.hpp"
 #include "core/sim_runner.hpp"
 
 namespace nox {
@@ -195,6 +196,31 @@ TEST(RunApplication, ArchitectureOrderingOnApplicationTraffic)
     EXPECT_GT(lat[0], lat[3]);
     EXPECT_GT(lat[1], lat[2]);
     EXPECT_GT(lat[1], lat[3]);
+}
+
+/** Every numeric key that would end in an assertion deep inside the
+ *  run is rejected at parse time, before the first cycle, with a
+ *  fatal error (exit 1) that names the key. */
+TEST(SimRunnerDeathTest, BadNumericKeysAreFatalAndNamed)
+{
+    const char *const kBad[][2] = {
+        {"metrics_interval", "0"}, {"telemetry_interval", "0"},
+        {"digest_interval", "0"},  {"trace_capacity", "0"},
+        {"width", "0"},            {"height", "-1"},
+        {"concentration", "0"},    {"buffer_depth", "0"},
+        {"packet_flits", "0"},     {"measure", "0"},
+        {"rate_mbps", "-5"},
+    };
+    for (const auto &kv : kBad) {
+        Config config;
+        config.set("trace", true);
+        config.set("metrics", true);
+        config.set(kv[0], std::string(kv[1]));
+        EXPECT_EXIT((void)parseSyntheticConfig(config),
+                    ::testing::ExitedWithCode(1),
+                    std::string("fatal: config key '") + kv[0] + "'")
+            << kv[0] << "=" << kv[1];
+    }
 }
 
 } // namespace

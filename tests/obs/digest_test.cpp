@@ -220,6 +220,23 @@ TEST_F(DigestLedgerFileTest, CorruptedFoldRejected)
     EXPECT_NE(err.find("fold"), std::string::npos) << err;
 }
 
+TEST_F(DigestLedgerFileTest, NonNumericHeaderIntervalRejected)
+{
+    // Read as 0, the interval would make compareLedgers skip its
+    // interval-mismatch check; the loader must refuse it instead.
+    for (const char *interval : {"\"abc\"", "100x", "-100", ""}) {
+        std::ofstream(path_, std::ios::trunc)
+            << "{\"type\": \"digest_header\", \"interval\": "
+            << interval << ", \"fingerprint\": \"fp\"}\n";
+        LedgerFile file;
+        std::string err;
+        EXPECT_FALSE(loadDigestLedger(path_, &file, &err)) << interval;
+        EXPECT_NE(err.find(":1: malformed digest header interval"),
+                  std::string::npos)
+            << err;
+    }
+}
+
 TEST_F(DigestLedgerFileTest, MissingFileReportsError)
 {
     LedgerFile file;

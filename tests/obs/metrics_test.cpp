@@ -12,9 +12,11 @@
 #include <string>
 #include <vector>
 
+#include "common/config.hpp"
 #include "common/rng.hpp"
 #include "noc/network.hpp"
 #include "obs/metrics.hpp"
+#include "obs/obs_params.hpp"
 #include "routers/factory.hpp"
 #include "traffic/bernoulli_source.hpp"
 #include "traffic/patterns.hpp"
@@ -190,6 +192,21 @@ TEST(MetricsExport, HeatmapTableIsWidthByHeight)
     EXPECT_EQ(t.numCols(), 9u); // row label + 8 columns
     EXPECT_DOUBLE_EQ(m.meanLinkUtilization(9), 0.5);
     EXPECT_DOUBLE_EQ(m.meanLinkUtilization(0), 0.0);
+}
+
+TEST(ObsParamsDeathTest, ZeroIntervalsAndCapacityAreFatalAndNamed)
+{
+    for (const char *key : {"metrics_interval", "telemetry_interval",
+                            "digest_interval", "trace_capacity"}) {
+        Config config;
+        config.set("trace", true);
+        config.set("metrics", true);
+        config.set(key, std::int64_t{0});
+        EXPECT_EXIT((void)obsParamsFromConfig(config),
+                    ::testing::ExitedWithCode(1),
+                    std::string("fatal: config key '") + key + "'")
+            << key;
+    }
 }
 
 } // namespace

@@ -188,14 +188,14 @@ main(int argc, char **argv)
     const std::string resumePath = config.getString("resume");
 
     NetworkParams params;
-    params.width = static_cast<int>(config.getInt("width", 8));
-    params.height = static_cast<int>(config.getInt("height", 8));
+    params.width = static_cast<int>(config.getInt("width", 8, 1));
+    params.height = static_cast<int>(config.getInt("height", 8, 1));
     params.concentration =
-        static_cast<int>(config.getInt("concentration", 1));
+        static_cast<int>(config.getInt("concentration", 1, 1));
     params.router.bufferDepth =
-        static_cast<int>(config.getInt("buffer_depth", 4));
+        static_cast<int>(config.getInt("buffer_depth", 4, 1));
     params.router.vcCount =
-        static_cast<int>(config.getInt("vc_count", 1));
+        static_cast<int>(config.getInt("vc_count", 1, 1));
     params.sinkBufferDepth = params.router.bufferDepth;
     params.schedulingMode = parseSchedulingMode(
         config.getString("scheduling", "equivalence").c_str());

@@ -58,6 +58,7 @@
 
 #include "coherence/trace_generator.hpp"
 #include "common/config.hpp"
+#include "common/jsonl.hpp"
 #include "common/log.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -291,41 +292,6 @@ cmdSnapshotInfo(const Config &config)
 
 // ---- profile: render a self-profiling JSONL export ----------------
 
-/** Find `"key": <number>` in a single-line JSON object (tolerates
- *  optional whitespace after the colon). */
-bool
-profFindNum(const std::string &line, const char *key, double &out)
-{
-    const std::string pat = std::string("\"") + key + "\":";
-    const std::size_t pos = line.find(pat);
-    if (pos == std::string::npos)
-        return false;
-    const char *start = line.c_str() + pos + pat.size();
-    char *end = nullptr;
-    out = std::strtod(start, &end);
-    return end != start;
-}
-
-/** Find `"key": "<string>"` in a single-line JSON object. */
-bool
-profFindStr(const std::string &line, const char *key, std::string &out)
-{
-    const std::string pat = std::string("\"") + key + "\":";
-    std::size_t pos = line.find(pat);
-    if (pos == std::string::npos)
-        return false;
-    pos += pat.size();
-    while (pos < line.size() && line[pos] == ' ')
-        ++pos;
-    if (pos >= line.size() || line[pos] != '"')
-        return false;
-    const std::size_t close = line.find('"', pos + 1);
-    if (close == std::string::npos)
-        return false;
-    out = line.substr(pos + 1, close - pos - 1);
-    return true;
-}
-
 int
 cmdProfile(const Config &config)
 {
@@ -360,43 +326,42 @@ cmdProfile(const Config &config)
     std::vector<ImbalanceRow> imbalances;
 
     std::string line;
-    while (std::getline(in, line)) {
-        std::string type;
-        if (!profFindStr(line, "type", type))
+    for (std::size_t lineno = 1; std::getline(in, line); ++lineno) {
+        if (line.empty())
             continue;
+        std::string type;
+        if (!jsonl::find(line, "type", type))
+            fatal("profile: ", path, ":", lineno,
+                  ": missing \"type\" field");
         if (type == "profile_header") {
             haveHeader = true;
-            profFindNum(line, "steps", steps);
-            profFindNum(line, "total_ns", totalNs);
-            profFindNum(line, "phase_ns_sum", phaseNsSum);
-            profFindNum(line, "coverage", coverage);
-            profFindNum(line, "width", width);
-            profFindNum(line, "height", height);
-            profFindNum(line, "routers", numRouters);
-            profFindStr(line, "arch", arch);
-            profFindStr(line, "sched", sched);
+            jsonl::find(line, "steps", steps);
+            jsonl::find(line, "total_ns", totalNs);
+            jsonl::find(line, "phase_ns_sum", phaseNsSum);
+            jsonl::find(line, "coverage", coverage);
+            jsonl::find(line, "width", width);
+            jsonl::find(line, "height", height);
+            jsonl::find(line, "routers", numRouters);
+            jsonl::find(line, "arch", arch);
+            jsonl::find(line, "sched", sched);
         } else if (type == "phase") {
             PhaseRow p;
-            profFindStr(line, "name", p.name);
-            profFindNum(line, "ns", p.ns);
-            profFindNum(line, "enters", p.enters);
+            jsonl::find(line, "name", p.name);
+            jsonl::find(line, "ns", p.ns);
+            jsonl::find(line, "enters", p.enters);
             phases.push_back(p);
         } else if (type == "router") {
-            double id = 0, evals = 0, flits = 0, arb = 0;
-            profFindNum(line, "id", id);
-            profFindNum(line, "evals", evals);
-            profFindNum(line, "flits", flits);
-            profFindNum(line, "arb", arb);
-            routers.push_back(
-                {static_cast<std::uint64_t>(id),
-                 static_cast<std::uint64_t>(evals),
-                 static_cast<std::uint64_t>(flits),
-                 static_cast<std::uint64_t>(arb)});
+            RouterRow r;
+            jsonl::find(line, "id", r.id);
+            jsonl::find(line, "evals", r.evals);
+            jsonl::find(line, "flits", r.flits);
+            jsonl::find(line, "arb", r.arb);
+            routers.push_back(r);
         } else if (type == "imbalance") {
             ImbalanceRow r;
-            profFindStr(line, "by", r.by);
-            profFindNum(line, "shards", r.shards);
-            profFindNum(line, "index", r.index);
+            jsonl::find(line, "by", r.by);
+            jsonl::find(line, "shards", r.shards);
+            jsonl::find(line, "index", r.index);
             imbalances.push_back(r);
         }
     }
@@ -689,18 +654,14 @@ cmdBisect(const Config &config)
         return 0;
     }
 
-    // Replicate runSynthetic's phase schedule: sources off once the
-    // measurement window closes, then the drain tail.
-    const Cycle m1 = ca.warmupCycles + ca.measureCycles;
-    if (start >= m1) {
-        netA.setSourcesEnabled(false);
-        netB.setSourcesEnabled(false);
-    }
     // The divergence is certain by the ledger's divergent stride;
     // pad one interval in case that stride is the last one captured.
+    // Both sides follow runSynthetic's source schedule (A's windows).
     const Cycle limit = coarse.cycle + la.interval;
     bool found = false;
     while (netA.now() < limit) {
+        applySyntheticSourceSchedule(netA, ca);
+        applySyntheticSourceSchedule(netB, ca);
         netA.step();
         netB.step();
         sa = netA.computeDigestStride(scratchA);
@@ -708,10 +669,6 @@ cmdBisect(const Config &config)
         if (sa != sb) {
             found = true;
             break;
-        }
-        if (netA.now() == m1) {
-            netA.setSourcesEnabled(false);
-            netB.setSourcesEnabled(false);
         }
     }
 
