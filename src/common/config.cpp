@@ -4,9 +4,9 @@
 #include <cctype>
 #include <fstream>
 #include <sstream>
-#include <stdexcept>
 
 #include "common/log.hpp"
+#include "common/parse.hpp"
 
 namespace nox {
 
@@ -158,11 +158,8 @@ Config::getInt(const std::string &key, std::int64_t def,
     if (!v)
         return def;
     std::int64_t x = 0;
-    try {
-        x = std::stoll(*v);
-    } catch (...) {
+    if (!parseWhole(*v, x))
         fatal("config key '", key, "' is not an integer: '", *v, "'");
-    }
     return atLeast(key, x, min);
 }
 
@@ -174,15 +171,9 @@ Config::getUint(const std::string &key, std::uint64_t def,
     if (!v)
         return def;
     std::uint64_t x = 0;
-    try {
-        // stoull accepts "-5" and wraps it; a sign is never valid here.
-        if (v->find('-') != std::string::npos)
-            throw std::invalid_argument("negative");
-        x = std::stoull(*v);
-    } catch (...) {
+    if (!parseWhole(*v, x))
         fatal("config key '", key, "' is not an unsigned integer: '", *v,
               "'");
-    }
     return atLeast(key, x, min);
 }
 
@@ -193,11 +184,8 @@ Config::getDouble(const std::string &key, double def, double min) const
     if (!v)
         return def;
     double x = 0.0;
-    try {
-        x = std::stod(*v);
-    } catch (...) {
+    if (!parseWhole(*v, x))
         fatal("config key '", key, "' is not a number: '", *v, "'");
-    }
     return atLeast(key, x, min);
 }
 
@@ -222,12 +210,11 @@ Config::getDoubleList(const std::string &key) const
 {
     std::vector<double> out;
     for (const auto &tok : getStringList(key)) {
-        try {
-            out.push_back(std::stod(tok));
-        } catch (...) {
+        double x = 0.0;
+        if (!parseWhole(tok, x))
             fatal("config key '", key, "' has a non-numeric element: '",
                   tok, "'");
-        }
+        out.push_back(x);
     }
     return out;
 }

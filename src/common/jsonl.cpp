@@ -1,7 +1,8 @@
 #include "common/jsonl.hpp"
 
 #include <algorithm>
-#include <charconv>
+
+#include "common/parse.hpp"
 
 namespace nox::jsonl {
 namespace {
@@ -25,17 +26,10 @@ parseAt(const std::string &line, std::size_t p, T &out)
 {
     if (p == std::string::npos)
         return false;
-    const char *first = line.data() + p;
-    const char *last =
-        line.data() + std::min(line.find_first_of(",}]", p), line.size());
-    while (last > first && last[-1] == ' ')
-        --last;
-    T v{};
-    const auto [ptr, ec] = std::from_chars(first, last, v);
-    if (first == last || ec != std::errc() || ptr != last)
-        return false;
-    out = v;
-    return true;
+    std::size_t end = std::min(line.find_first_of(",}]", p), line.size());
+    while (end > p && line[end - 1] == ' ')
+        --end;
+    return parseWhole(std::string_view(line).substr(p, end - p), out);
 }
 
 /** Read the string whose opening quote is at @p p, unescaping, and
@@ -122,12 +116,6 @@ find(const std::string &line, const char *key,
         return false; // unterminated
     out = std::move(items);
     return true;
-}
-
-bool
-parse(const std::string &text, std::int64_t &out)
-{
-    return parseAt(text, 0, out);
 }
 
 } // namespace nox::jsonl

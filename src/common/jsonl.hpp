@@ -6,7 +6,8 @@
  * Not a JSON parser: a field is found by searching for `"key":`
  * (spaces after the colon are skipped), so a key must not also occur
  * inside another field's string value — true of every export the
- * simulator writes. Numbers must parse completely: `12x` is not 12.
+ * simulator writes. Numbers must parse completely (parseWhole): `12x`
+ * is not 12.
  */
 
 #ifndef NOX_COMMON_JSONL_HPP
@@ -33,9 +34,6 @@ bool find(const std::string &line, const char *key, std::string &out);
  *  written). */
 bool find(const std::string &line, const char *key,
           std::vector<std::string> &out);
-
-/** Parse all of @p text as a number (the find() number rule). */
-bool parse(const std::string &text, std::int64_t &out);
 
 } // namespace nox::jsonl
 

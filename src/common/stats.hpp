@@ -41,15 +41,6 @@ class SampleStats
     double min() const { return n_ ? min_ : 0.0; }
     double max() const { return n_ ? max_ : 0.0; }
 
-    /** Exact (bit-level) accumulator equality — used by the kernel
-     *  equivalence checks, where "close" is not good enough. */
-    bool identicalTo(const SampleStats &other) const
-    {
-        return n_ == other.n_ && mean_ == other.mean_ &&
-               m2_ == other.m2_ && min_ == other.min_ &&
-               max_ == other.max_;
-    }
-
     /** Bit-exact accumulator capture / restore (checkpointing). */
     void serialize(snap::Writer &w) const { walk(w, *this); }
     void restore(snap::Reader &r) { walk(r, *this); }

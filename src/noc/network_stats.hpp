@@ -109,32 +109,8 @@ struct FaultStats
      *  age limit; each also latches the flight recorder once). */
     std::uint64_t ageAlarms = 0;
 
-    bool
-    identicalTo(const FaultStats &o) const
-    {
-        return faultsInjected == o.faultsInjected &&
-               bitflipsInjected == o.bitflipsInjected &&
-               dropsInjected == o.dropsInjected &&
-               creditsLostInjected == o.creditsLostInjected &&
-               faultsDetected == o.faultsDetected &&
-               retransmissions == o.retransmissions &&
-               creditResyncs == o.creditResyncs &&
-               corruptedEscapes == o.corruptedEscapes &&
-               decodeMismatches == o.decodeMismatches &&
-               hardLinkFaults == o.hardLinkFaults &&
-               hardRouterFaults == o.hardRouterFaults &&
-               tableRebuilds == o.tableRebuilds &&
-               flitsLostHard == o.flitsLostHard &&
-               packetsLostHard == o.packetsLostHard &&
-               e2eRetransmits == o.e2eRetransmits &&
-               dupSuppressed == o.dupSuppressed &&
-               deliveryFailures == o.deliveryFailures &&
-               linkHeals == o.linkHeals &&
-               routerHeals == o.routerHeals &&
-               unreachableRejected == o.unreachableRejected &&
-               flowReorders == o.flowReorders &&
-               ageAlarms == o.ageAlarms;
-    }
+    /** Bit-exact equality of every counter (see identicalStats). */
+    bool identicalTo(const FaultStats &o) const;
 };
 
 /** Latency / throughput statistics gathered by the Network. */
@@ -202,31 +178,12 @@ struct NetworkStats
  * Bit-exact equality across every field, including the floating-point
  * latency accumulators. This is the predicate behind the scheduling-
  * kernel equivalence guarantee: an always-tick run and an activity-
- * driven run of the same seeded configuration must satisfy it.
+ * driven run of the same seeded configuration must satisfy it. Both
+ * predicates compare the bytes of the snapshot walks in
+ * noc/snapshot_codec.hpp, so a counter added to a walk joins the
+ * check without a second field list.
  */
-inline bool
-identicalStats(const NetworkStats &a, const NetworkStats &b)
-{
-    for (std::size_t c = 0; c < a.latencyByClass.size(); ++c) {
-        if (!a.latencyByClass[c].identicalTo(b.latencyByClass[c]))
-            return false;
-    }
-    return a.packetsInjected == b.packetsInjected &&
-           a.flitsInjected == b.flitsInjected &&
-           a.packetsEjected == b.packetsEjected &&
-           a.flitsEjected == b.flitsEjected &&
-           a.measureStart == b.measureStart &&
-           a.measureEnd == b.measureEnd &&
-           a.latency.identicalTo(b.latency) &&
-           a.netLatency.identicalTo(b.netLatency) &&
-           a.latencyHist.identicalTo(b.latencyHist) &&
-           a.packetsMeasured == b.packetsMeasured &&
-           a.packetsMeasuredDone == b.packetsMeasuredDone &&
-           a.flitsEjectedInWindow == b.flitsEjectedInWindow &&
-           a.flitsCreatedInWindow == b.flitsCreatedInWindow &&
-           a.maxSourceQueueFlits == b.maxSourceQueueFlits &&
-           a.faults.identicalTo(b.faults);
-}
+bool identicalStats(const NetworkStats &a, const NetworkStats &b);
 
 } // namespace nox
 

@@ -9,9 +9,16 @@
 
 namespace nox {
 
+WormholeLocks::WormholeLocks(int ports, int vcs)
+    : ports_(ports), vcs_(vcs),
+      lanes_(static_cast<std::size_t>(ports * vcs))
+{
+}
+
 Router::Router(NodeId id, const Mesh &mesh, const RoutingTable &table,
                const RouterParams &params)
-    : id_(id), mesh_(mesh), table_(&table), params_(params)
+    : id_(id), mesh_(mesh), table_(&table), params_(params),
+      locks_(params.numPorts, params.vcCount)
 {
     NOX_ASSERT(params.bufferDepth > 0, "buffer depth must be positive");
     NOX_ASSERT(params.numPorts >= 2 && params.numPorts <= kMaxMaskBits,
@@ -24,6 +31,9 @@ Router::Router(NodeId id, const Mesh &mesh, const RoutingTable &table,
     credits_.assign(static_cast<std::size_t>(params.numPorts), 0);
     outTarget_.resize(static_cast<std::size_t>(params.numPorts));
     creditTarget_.resize(static_cast<std::size_t>(params.numPorts));
+    arb_.resize(static_cast<std::size_t>(params.numPorts));
+    for (auto &a : arb_)
+        a = makeArbiter();
 }
 
 void
@@ -65,7 +75,7 @@ Router::quiescent() const
                 return false;
         }
     }
-    return true;
+    return !locks_.anyHeld();
 }
 
 void
@@ -316,6 +326,40 @@ Router::driveWasted(int out_port)
 }
 
 void
+Router::gatherPlainHeads()
+{
+    heads_.resize(static_cast<std::size_t>(params_.numPorts));
+    headOut_.resize(static_cast<std::size_t>(params_.numPorts));
+    for (int p = 0; p < params_.numPorts; ++p) {
+        heads_[p] = plainHead(p);
+        headOut_[p] = heads_[p] ? routeOf(*heads_[p]) : -1;
+    }
+}
+
+void
+Router::provStallRequesters(int out_port, LatencyComponent c, Cycle now,
+                            int except)
+{
+    if (!prov_)
+        return;
+    for (int p = 0; p < params_.numPorts; ++p) {
+        if (p != except && headOut_[p] == out_port)
+            provStall(*heads_[p], c, now);
+    }
+}
+
+void
+Router::traverse(int in_port, int out_port)
+{
+    WireFlit w = in_[in_port].pop();
+    energy_.bufferReads += 1;
+    energy_.xbarInputDrives += 1;
+    returnCredit(in_port);
+    locks_.update(out_port, in_port, w.parts.front());
+    sendFlit(out_port, std::move(w));
+}
+
+void
 Router::returnCredit(int in_port)
 {
     const CreditTarget &t = creditTarget_[in_port];
@@ -357,6 +401,7 @@ Router::killOutput(int out_port, std::vector<FlitDesc> &lost)
     }
     credits_[out_port] = 0;
     stagedCredits_[out_port] = 0;
+    locks_.clearOutput(out_port);
     outTarget_[out_port] = FlitTarget{};
     connectedOutMask_ &= ~maskBit(out_port);
 }
@@ -443,6 +488,13 @@ void
 Router::onTableRebuild()
 {
     degraded_ = true;
+    locks_.clear();
+}
+
+void
+Router::onOutputRevived(int out_port)
+{
+    locks_.clearOutput(out_port);
 }
 
 std::optional<FlitDesc>

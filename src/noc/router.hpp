@@ -6,7 +6,8 @@
  * Spec-Accurate, NoX) derive from Router and implement evaluate().
  * The base class owns what they share: input FIFOs, credit counters
  * for each downstream buffer, staged (next-cycle) arrivals, link
- * wiring, route computation and energy-event counting.
+ * wiring, route computation, energy-event counting, the wormhole
+ * locks, one arbiter per output and the plain switch traversal.
  *
  * Two-phase update discipline: during evaluate() a router reads only
  * its own committed state and *stages* flits/credits into neighbours;
@@ -17,6 +18,7 @@
 #ifndef NOX_NOC_ROUTER_HPP
 #define NOX_NOC_ROUTER_HPP
 
+#include <algorithm>
 #include <array>
 #include <functional>
 #include <memory>
@@ -54,6 +56,107 @@ struct RouterParams
     int vcCount = 1;          ///< virtual channels (>1 builds the
                               ///< §2.8 exploration router)
     ArbiterKind arbiterKind = ArbiterKind::RoundRobin;
+};
+
+/**
+ * Table 1's wormhole locks, one per output lane (lane = out_port *
+ * vcCount + vc): a lane owned by input p for packet k carries only
+ * k's flits from p until k's tail passes. Shared by every
+ * architecture; each keeps its own answer to a stale lock.
+ */
+class WormholeLocks
+{
+  public:
+    WormholeLocks(int ports, int vcs);
+
+    int owner(int lane) const { return lanes_[lane].owner; }
+    PacketId packet(int lane) const { return lanes_[lane].packet; }
+    bool held(int lane) const { return lanes_[lane].owner >= 0; }
+    bool
+    anyHeld() const
+    {
+        return std::ranges::any_of(
+            lanes_, [](const Lane &l) { return l.owner >= 0; });
+    }
+
+    void
+    acquire(int lane, int in_port, PacketId packet)
+    {
+        lanes_[lane] = Lane{in_port, packet};
+    }
+    void release(int lane) { lanes_[lane] = Lane{}; }
+
+    /** Flit @p d leaves input @p in_port through @p lane: a head that
+     *  is not a tail acquires the lane; a tail releases it only when
+     *  free or its own packet's (in degraded mode another packet's
+     *  tail must not clear the lock). */
+    void
+    update(int lane, int in_port, const FlitDesc &d)
+    {
+        if (d.isHead() && !d.isTail())
+            acquire(lane, in_port, d.packet);
+        else if (d.isTail() && (!held(lane) || packet(lane) == d.packet))
+            release(lane);
+    }
+
+    /** True iff held @p lane's owner still presents the locked packet:
+     *  @p head is the owner's head flit (nullptr: none), @p head_out
+     *  the output it requests (-1: none). */
+    bool
+    supplies(int lane, const FlitDesc *head, int head_out) const
+    {
+        return head_out == lane / vcs_ && head &&
+               head->packet == packet(lane);
+    }
+
+    /** Release every lane of @p out_port. */
+    void
+    clearOutput(int out_port)
+    {
+        for (int v = 0; v < vcs_; ++v)
+            release(out_port * vcs_ + v);
+    }
+    void clear() { std::ranges::fill(lanes_, Lane{}); }
+
+    /** Snapshot walk: every lane's owner, then every lane's packet. */
+    template <class Ar>
+    static void
+    walk(Ar &ar, snap::Field<Ar, WormholeLocks> &self)
+    {
+        for (auto &l : self.lanes_)
+            walkOwner(ar, self, l.owner);
+        for (auto &l : self.lanes_)
+            ar(l.packet);
+    }
+
+    /** Snapshot walk of one lane (NoX keeps it in its output record). */
+    template <class Ar>
+    static void
+    walkLane(Ar &ar, snap::Field<Ar, WormholeLocks> &self, int lane)
+    {
+        walkOwner(ar, self, self.lanes_[lane].owner);
+        ar(self.lanes_[lane].packet);
+    }
+
+  private:
+    template <class Ar, class Owner>
+    static void
+    walkOwner(Ar &ar, snap::Field<Ar, WormholeLocks> &self, Owner &o)
+    {
+        ar(o);
+        ar.check(o >= -1 && o < self.ports_,
+                 "wormhole lock owner out of range");
+    }
+
+    struct Lane
+    {
+        int owner = -1; ///< input port, or -1 when free
+        PacketId packet = kInvalidPacket;
+    };
+
+    int ports_;
+    int vcs_;
+    std::vector<Lane> lanes_;
 };
 
 /** Base class for all evaluated router microarchitectures. */
@@ -118,14 +221,15 @@ class Router
     /**
      * Activity contract for the scheduled kernel: true iff ticking
      * this router would be a no-op — no buffered flits, no staged
-     * arrivals, no pending (staged) credits, and no architecture-
-     * specific in-progress state (wormhole locks, reservations,
+     * arrivals, no pending (staged) credits, no held wormhole lock,
+     * and no architecture-specific in-progress state (reservations,
      * decode registers, non-reset mask automata). A quiescent router
      * may be retired from the active set; it is re-armed whenever a
      * flit or credit is staged to it.
      *
-     * The base implementation covers the shared state; overrides must
-     * AND in their own (and err on the side of returning false).
+     * The base implementation covers the shared state (locks
+     * included); overrides must AND in their own (and err on the side
+     * of returning false).
      */
     virtual bool quiescent() const;
 
@@ -138,7 +242,7 @@ class Router
 
     /** Virtual channels per input port (1 for the paper's wormhole
      *  designs; >1 only for the §2.8 exploration router). */
-    virtual int vcCount() const { return 1; }
+    int vcCount() const { return params_.vcCount; }
 
     // -- wiring, performed once by the Network --
     void connectOutput(int out_port, FlitTarget target, int credits);
@@ -210,26 +314,23 @@ class Router
     /**
      * The network rebuilt the routing tables after a mid-run hard
      * fault. Flits of one packet may now reach a router through a
-     * different input than their head did, so every architecture
-     * drops its wormhole locks / switch automata here and re-forms
-     * them from the traffic; the base permanently enters degraded
-     * mode, in which lock-consistency violations downgrade from
-     * asserts to graceful re-arbitration.
+     * different input than their head did, so the base drops every
+     * wormhole lock (architectures reset their switch automata too)
+     * and they re-form from the traffic; the base permanently enters
+     * degraded mode, in which lock-consistency violations downgrade
+     * from asserts to graceful re-arbitration.
      */
     virtual void onTableRebuild();
 
     /**
      * A previously killed output was re-wired by a heal (the network
      * already called connectOutput(), which restores the base per-port
-     * credit count). Architectures holding extra per-output state —
-     * the VC router's per-lane credit counters — re-initialise it
-     * here, exactly as construction would.
+     * credit count). The base releases the output's lock lanes;
+     * architectures holding extra per-output state — the VC router's
+     * per-lane credit counters — re-initialise it here, exactly as
+     * construction would.
      */
-    virtual void
-    onOutputRevived(int out_port)
-    {
-        (void)out_port;
-    }
+    virtual void onOutputRevived(int out_port);
 
     // -- introspection (tests, stats) --
     NodeId id() const { return id_; }
@@ -241,6 +342,14 @@ class Router
         return maskAll(params_.numPorts);
     }
     const FlitFifo &inputFifo(int port) const { return in_[port]; }
+
+    /** Input currently owning lane (@p out_port, @p vc) mid-packet
+     *  (-1 = none). */
+    int
+    lockOwner(int out_port, int vc = 0) const
+    {
+        return locks_.owner(out_port * vcCount() + vc);
+    }
 
     /** Mutable FIFO access for test harnesses and trace tooling;
      *  production code must go through stageFlit()/commit(). */
@@ -308,11 +417,11 @@ class Router
 
     /**
      * Deliberately corrupt one arbiter decision (test/debug only; see
-     * NetworkParams::debugPerturbCycle). Used to seed a known
-     * divergence for exercising the digest ledger and the trace_tool
-     * bisector; a no-op for architectures without priority state.
+     * NetworkParams::debugPerturbCycle): perturbs output 0's arbiter.
+     * Used to seed a known divergence for exercising the digest ledger
+     * and the trace_tool bisector.
      */
-    virtual void debugPerturb() {}
+    void debugPerturb() { arb_[0]->perturb(); }
 
   protected:
     /** True when the downstream buffer of @p out_port has a slot. */
@@ -353,6 +462,24 @@ class Router
 
     /** Return a freed input-buffer slot to the upstream sender. */
     void returnCredit(int in_port);
+
+    /** Request gathering of the plain (uncoded) routers: refresh
+     *  heads_[p] = plainHead(p) and headOut_[p] = its route (-1 for
+     *  an empty input). Sizes both on first use, so the routers that
+     *  never gather allocate nothing for them. */
+    void gatherPlainHeads();
+
+    /** Charge @p c to every gathered head requesting @p out_port
+     *  except input @p except's (no-op with provenance off). */
+    void provStallRequesters(int out_port, LatencyComponent c, Cycle now,
+                             int except = -1);
+
+    /**
+     * Plain switch traversal of input @p in_port's (uncoded) head flit
+     * to @p out_port: pop, buffer-read and crossbar energy, upstream
+     * credit return, lock update, send.
+     */
+    void traverse(int in_port, int out_port);
 
     /** Output port for a flit at this router (lookahead table read;
      *  DOR-identical while the mesh is fault-free). */
@@ -480,6 +607,17 @@ class Router
                                       ///< swallowed, owed by watchdog
 
     EnergyEvents energy_;
+
+    /** One output arbiter per port, built by makeArbiter(). */
+    std::vector<std::unique_ptr<Arbiter>> arb_;
+
+    /** The wormhole locks, numPorts x vcCount lanes. */
+    WormholeLocks locks_;
+
+    /** Scratch of gatherPlainHeads(), reused across cycles: per-call
+     *  allocation would dominate evaluate(). */
+    std::vector<std::optional<FlitDesc>> heads_;
+    std::vector<int> headOut_;
 
     /** The base router's part of the snapshot walk behind serialize()
      *  and restore(); subclass walks call it first. */

@@ -7,6 +7,7 @@
 
 #include "common/jsonl.hpp"
 #include "common/log.hpp"
+#include "common/parse.hpp"
 #include "noc/flit.hpp"
 
 namespace nox {
@@ -34,7 +35,7 @@ loadFlightDump(const std::string &path, FlightDump &out,
     jsonl::find(line, "implicated", implicated);
     for (const std::string &item : implicated) {
         std::int64_t node = 0;
-        if (!jsonl::parse(item, node))
+        if (!parseWhole(item, node))
             break;
         out.implicated.push_back(static_cast<NodeId>(node));
     }

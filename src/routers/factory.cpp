@@ -18,8 +18,7 @@ makeRouter(RouterArch arch, NodeId id, const Mesh &mesh,
         // repo's) future work.
         NOX_ASSERT(arch == RouterArch::NonSpeculative,
                    "vcCount > 1 requires the non-speculative router");
-        return std::make_unique<VcRouter>(id, mesh, table, params,
-                                          params.vcCount);
+        return std::make_unique<VcRouter>(id, mesh, table, params);
     }
     switch (arch) {
       case RouterArch::NonSpeculative:

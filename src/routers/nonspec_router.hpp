@@ -12,9 +12,6 @@
 #ifndef NOX_ROUTERS_NONSPEC_ROUTER_HPP
 #define NOX_ROUTERS_NONSPEC_ROUTER_HPP
 
-#include <memory>
-#include <vector>
-
 #include "noc/router.hpp"
 
 namespace nox {
@@ -23,9 +20,7 @@ namespace nox {
 class NonSpecRouter : public Router
 {
   public:
-    NonSpecRouter(NodeId id, const Mesh &mesh,
-                  const RoutingTable &table,
-                  const RouterParams &params);
+    using Router::Router;
 
     RouterArch arch() const override
     {
@@ -34,16 +29,6 @@ class NonSpecRouter : public Router
 
     void evaluate(Cycle now) override;
 
-    /** Quiescent iff base state is idle and no wormhole is open. */
-    bool quiescent() const override;
-
-    /** Drop all wormhole locks: rerouted flits may reach this router
-     *  through different inputs than their heads did. */
-    void onTableRebuild() override;
-
-    /** Input currently owning output @p port mid-packet (-1 = none). */
-    int lockOwner(int port) const { return lockOwner_[port]; }
-
     void
     serialize(snap::Writer &w, snap::Scope scope) const override
     {
@@ -51,22 +36,10 @@ class NonSpecRouter : public Router
     }
     void restore(snap::Reader &r) override { walk(r, *this); }
 
-    void debugPerturb() override;
-
   private:
     template <class Ar, class Self>
     static void walk(Ar &ar, Self &self,
                      snap::Scope scope = snap::Scope::Snapshot);
-
-    void traverse(int in_port, int out_port);
-
-    std::vector<std::unique_ptr<Arbiter>> arb_;
-    std::vector<int> lockOwner_;
-    std::vector<PacketId> lockPacket_;
-
-    // Per-evaluate scratch (reused across cycles, see evaluate()).
-    std::vector<std::optional<FlitDesc>> scratchHead_;
-    std::vector<int> scratchOut_;
 };
 
 } // namespace nox

@@ -36,7 +36,6 @@ NoxRouter::NoxRouter(NodeId id, const Mesh &mesh,
     for (auto &o : out_) {
         o.switchMask = allPortsMask();
         o.arbMask = allPortsMask();
-        o.arb = makeArbiter();
     }
     scratchViews_.resize(static_cast<std::size_t>(params.numPorts));
     scratchRequests_.resize(static_cast<std::size_t>(params.numPorts));
@@ -123,14 +122,14 @@ NoxRouter::evaluate(Cycle now)
 
         // Mode-residency accounting (only for outputs with activity
         // potential: connected and credit-eligible this cycle).
-        if (st.lockOwner >= 0)
+        if (locks_.held(o))
             noxStats_.lockedCycles += 1;
         else if (st.mode == Mode::Recovery)
             noxStats_.recoveryCycles += 1;
         else
             noxStats_.scheduledCycles += 1;
 
-        if (st.lockOwner >= 0) {
+        if (locks_.held(o)) {
             // Exclusive multi-flit service: no other arbitration
             // winners until the tail flit has passed (§2.7). On the
             // tail cycle itself the output arbiter resumes Scheduled-
@@ -138,15 +137,15 @@ NoxRouter::evaluate(Cycle now)
             // cycle after the tail — the §2.6 behaviour that lets the
             // NoX perform like a perfectly speculating router when
             // requests can be non-speculatively pre-scheduled.
-            const int p = st.lockOwner;
+            const int p = locks_.owner(o);
             if (degraded_ &&
-                !((requests & maskBit(p)) &&
-                  views[p].presented->packet == st.lockPacket)) {
+                !locks_.supplies(o, views[p].presented,
+                                 (requests & maskBit(p)) ? o : -1)) {
                 // After a mid-run table rebuild the locked packet may
                 // have been purged, rerouted, or interleaved with
                 // foreign flits; abandon the lock and let the
                 // remaining flits re-arbitrate flit-wise.
-                unlockOutput(st);
+                unlockOutput(o);
                 if (prov) {
                     for (RequestMask m = requests; m; m &= m - 1)
                         provStall(*views[std::countr_zero(m)].presented,
@@ -162,15 +161,15 @@ NoxRouter::evaluate(Cycle now)
             }
             if (requests & maskBit(p)) {
                 const FlitDesc d = *views[p].presented;
-                NOX_ASSERT(d.packet == st.lockPacket,
+                NOX_ASSERT(d.packet == locks_.packet(o),
                            "foreign flit inside locked NoX output");
                 traverseSingle(p, o, views[p], now);
                 if (d.isTail()) {
-                    unlockOutput(st);
+                    unlockOutput(o);
                     const RequestMask others =
                         requests & ~maskBit(p);
                     if (others) {
-                        const int g = st.arb->grant(others);
+                        const int g = arb_[o]->grant(others);
                         energy_.arbDecisions += 1;
                         trace(TraceEventKind::Arbitrate, o,
                               static_cast<std::uint64_t>(g),
@@ -205,12 +204,12 @@ NoxRouter::evaluate(Cycle now)
                 const FlitDesc d = *views[p].presented;
                 // The arbiter ran in parallel; its (unneeded) grant is
                 // still a decision for energy purposes and RR state.
-                st.arb->grant(part);
+                arb_[o]->grant(part);
                 energy_.arbDecisions += 1;
                 noxStats_.cleanTraversals += 1;
                 traverseSingle(p, o, views[p], now);
                 if (d.isMultiFlit() && d.isHead() && !d.isTail()) {
-                    lockOutput(st, p, d.packet);
+                    lockOutput(o, p, d.packet);
                 } else {
                     // Masking all remaining inputs would inhibit
                     // everything -> re-enable all
@@ -236,7 +235,7 @@ NoxRouter::evaluate(Cycle now)
                 noxStats_.aborts += 1;
                 energy_.xbarInputDrives +=
                     static_cast<std::uint64_t>(fanin);
-                const int g = st.arb->grant(part);
+                const int g = arb_[o]->grant(part);
                 energy_.arbDecisions += 1;
                 trace(TraceEventKind::Arbitrate, o,
                       static_cast<std::uint64_t>(g),
@@ -251,7 +250,7 @@ NoxRouter::evaluate(Cycle now)
                         provStall(*views[std::countr_zero(m)].presented,
                                   LatencyComponent::XorRecovery, now);
                 }
-                lockOutput(st, g, views[g].presented->packet);
+                lockOutput(o, g, views[g].presented->packet);
                 continue;
             }
 
@@ -266,7 +265,7 @@ NoxRouter::evaluate(Cycle now)
                     *views[std::countr_zero(m)].presented);
                 energy_.xbarInputDrives += 1;
             }
-            const int g = st.arb->grant(part);
+            const int g = arb_[o]->grant(part);
             energy_.arbDecisions += 1;
             trace(TraceEventKind::Arbitrate, o,
                   static_cast<std::uint64_t>(g),
@@ -320,7 +319,7 @@ NoxRouter::evaluate(Cycle now)
             noxStats_.prescheduled += 1;
             traverseSingle(p, o, views[p], now);
             if (d.isMultiFlit() && d.isHead() && !d.isTail()) {
-                lockOutput(st, p, d.packet);
+                lockOutput(o, p, d.packet);
                 continue;
             }
         }
@@ -328,7 +327,7 @@ NoxRouter::evaluate(Cycle now)
         const RequestMask arb_requests = requests & st.arbMask;
         energy_.maskUpdates += 1;
         if (arb_requests) {
-            const int g = st.arb->grant(arb_requests);
+            const int g = arb_[o]->grant(arb_requests);
             energy_.arbDecisions += 1;
             trace(TraceEventKind::Arbitrate, o,
                   static_cast<std::uint64_t>(g),
@@ -356,7 +355,7 @@ NoxRouter::quiescent() const
     }
     const RequestMask all = allPortsMask();
     for (const OutState &st : out_) {
-        if (st.lockOwner >= 0 || st.mode != Mode::Recovery ||
+        if (st.mode != Mode::Recovery ||
             st.switchMask != all || st.arbMask != all)
             return false;
     }
@@ -397,22 +396,22 @@ NoxRouter::traverseSingle(int in_port, int out_port,
 }
 
 void
-NoxRouter::lockOutput(OutState &st, int in_port, PacketId packet)
+NoxRouter::lockOutput(int o, int in_port, PacketId packet)
 {
+    OutState &st = out_[o];
     st.mode = Mode::Scheduled;
-    st.lockOwner = in_port;
-    st.lockPacket = packet;
+    locks_.acquire(o, in_port, packet);
     st.switchMask = maskBit(in_port);
     st.arbMask = 0;
     energy_.maskUpdates += 1;
 }
 
 void
-NoxRouter::unlockOutput(OutState &st)
+NoxRouter::unlockOutput(int o)
 {
+    OutState &st = out_[o];
     st.mode = Mode::Recovery;
-    st.lockOwner = -1;
-    st.lockPacket = kInvalidPacket;
+    locks_.release(o);
     st.switchMask = allPortsMask();
     st.arbMask = allPortsMask();
     energy_.maskUpdates += 1;
@@ -533,17 +532,9 @@ NoxRouter::onTableRebuild()
     Router::onTableRebuild();
     for (OutState &st : out_) {
         st.mode = Mode::Recovery;
-        st.lockOwner = -1;
-        st.lockPacket = kInvalidPacket;
         st.switchMask = allPortsMask();
         st.arbMask = allPortsMask();
     }
-}
-
-void
-NoxRouter::debugPerturb()
-{
-    out_[0].arb->perturb();
 }
 
 template <class Ar, class Self>
@@ -553,12 +544,12 @@ NoxRouter::walk(Ar &ar, Self &self, snap::Scope scope)
     Router::walk(ar, self, scope);
     for (auto &d : self.decoders_)
         ar(d);
-    for (auto &st : self.out_) {
+    for (int o = 0; o < self.numPorts(); ++o) {
+        auto &st = self.out_[o];
         ar.enumeration(st.mode, Mode::Scheduled);
-        ar(st.switchMask, st.arbMask, st.lockOwner);
-        ar.check(st.lockOwner >= -1 && st.lockOwner < self.numPorts(),
-                 "NoX lock owner out of range");
-        ar(st.lockPacket, *st.arb);
+        ar(st.switchMask, st.arbMask);
+        WormholeLocks::walkLane(ar, self.locks_, o);
+        ar(*self.arb_[o]);
     }
     auto &stats = self.noxStats_;
     ar(stats.collisionsBySize);

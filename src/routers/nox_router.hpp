@@ -28,7 +28,6 @@
 #define NOX_ROUTERS_NOX_ROUTER_HPP
 
 #include <array>
-#include <memory>
 #include <vector>
 
 #include "noc/router.hpp"
@@ -101,8 +100,8 @@ class NoxRouter : public Router
     void purgeFlits(const FlitCondemned &condemned,
                     std::vector<FlitDesc> &removed) override;
 
-    /** Reset every output's mask automaton and lock after a mid-run
-     *  routing-table rebuild. */
+    /** Reset every output's mask automaton (and, in the base, its
+     *  lock) after a mid-run routing-table rebuild. */
     void onTableRebuild() override;
 
     /**
@@ -121,7 +120,6 @@ class NoxRouter : public Router
         return out_[port].switchMask;
     }
     RequestMask arbMask(int port) const { return out_[port].arbMask; }
-    int lockOwner(int port) const { return out_[port].lockOwner; }
     const XorDecoder &decoder(int port) const { return decoders_[port]; }
     const NoxStats &noxStats() const { return noxStats_; }
 
@@ -137,21 +135,18 @@ class NoxRouter : public Router
     }
     void restore(snap::Reader &r) override { walk(r, *this); }
 
-    void debugPerturb() override;
-
   private:
     template <class Ar, class Self>
     static void walk(Ar &ar, Self &self,
                      snap::Scope scope = snap::Scope::Snapshot);
 
+    /** One output's §2.6 mask automaton; its multi-flit lock and
+     *  arbiter live in the base (locks_, arb_). */
     struct OutState
     {
         Mode mode = Mode::Recovery;
         RequestMask switchMask = 0; // set in constructor
         RequestMask arbMask = 0;
-        int lockOwner = -1;         // multi-flit exclusive owner
-        PacketId lockPacket = kInvalidPacket;
-        std::unique_ptr<Arbiter> arb;
     };
 
     /** Accept input @p port's presented flit (decoder advance, SRAM
@@ -167,8 +162,12 @@ class NoxRouter : public Router
     void traverseSingle(int in_port, int out_port,
                         const DecodeView &view, Cycle now);
 
-    void lockOutput(OutState &st, int in_port, PacketId packet);
-    void unlockOutput(OutState &st);
+    /** Lock output @p o to @p in_port's packet @p packet (Scheduled
+     *  mode, switch enabled for the owner only). */
+    void lockOutput(int o, int in_port, PacketId packet);
+
+    /** Release output @p o's lock and reopen its masks (Recovery). */
+    void unlockOutput(int o);
 
     std::vector<XorDecoder> decoders_;
     std::vector<OutState> out_;

@@ -14,49 +14,31 @@ SpecRouter::SpecRouter(NodeId id, const Mesh &mesh,
     : Router(id, mesh, table, params), variant_(variant)
 {
     const auto ports = static_cast<std::size_t>(params.numPorts);
-    arb_.resize(ports);
     reserved_.assign(ports, -1);
-    lockOwner_.assign(ports, -1);
-    lockPacket_.assign(ports, kInvalidPacket);
     prevHeadPacket_.assign(ports, kInvalidPacket);
-    for (auto &a : arb_)
-        a = makeArbiter();
 }
 
 void
 SpecRouter::evaluate(Cycle now)
 {
     const int ports = numPorts();
-    // Member scratch — per-call allocation would dominate evaluate().
-    auto &head = scratchHead_;
-    auto &out_of = scratchOut_;
-    auto &head_packet_at_start = scratchHeadPacket_;
-    head.assign(static_cast<std::size_t>(ports), std::nullopt);
-    out_of.assign(static_cast<std::size_t>(ports), -1);
-    head_packet_at_start.assign(static_cast<std::size_t>(ports),
-                                kInvalidPacket);
+    gatherPlainHeads();
+    const auto &head = heads_;
+    auto &out_of = headOut_;
     for (int p = 0; p < ports; ++p) {
-        head[p] = plainHead(p);
-        out_of[p] = head[p] ? routeOf(*head[p]) : -1;
-        head_packet_at_start[p] = head[p] ? head[p]->packet
-                                          : kInvalidPacket;
-
         // Spec-Fast fairness rule (§3.1.2): a packet newly exposed
         // behind a departing packet on the same input may not request
         // arbitration in its first cycle as head — its request wires
         // still carry the predecessor's state, so it neither rides
         // the stale reservation nor reaches the allocator. (A flit
         // arriving into an empty input registers normally.)
-        if (variant_ == Variant::Fast && head[p]) {
-            const bool newly_exposed =
-                prevHeadPacket_[p] != kInvalidPacket &&
-                prevHeadPacket_[p] != head[p]->packet;
-            if (newly_exposed) {
-                out_of[p] = -1;
-                // Fairness-rule blanking costs the new head one
-                // arbitration cycle.
-                provStall(*head[p], LatencyComponent::ArbLoss, now);
-            }
+        if (variant_ == Variant::Fast && head[p] &&
+            prevHeadPacket_[p] != kInvalidPacket &&
+            prevHeadPacket_[p] != head[p]->packet) {
+            out_of[p] = -1;
+            // Fairness-rule blanking costs the new head one
+            // arbitration cycle.
+            provStall(*head[p], LatencyComponent::ArbLoss, now);
         }
     }
 
@@ -80,39 +62,33 @@ SpecRouter::evaluate(Cycle now)
             // capture the output indefinitely under stop-and-go
             // credit flow — defeating the fairness the §3.1.2 rules
             // exist to protect.
-            if (prov_) {
-                const LatencyComponent c =
-                    linkBusy(o, now) ? LatencyComponent::Retransmit
-                                     : LatencyComponent::CreditStall;
-                for (int p = 0; p < ports; ++p) {
-                    if (out_of[p] == o)
-                        provStall(*head[p], c, now);
-                }
-            }
+            provStallRequesters(o,
+                                linkBusy(o, now)
+                                    ? LatencyComponent::Retransmit
+                                    : LatencyComponent::CreditStall,
+                                now);
             reserved_[o] = -1;
             continue;
         }
 
-        if (degraded_ && lockOwner_[o] >= 0) {
+        if (degraded_ && locks_.held(o)) {
             // After a mid-run table rebuild the locked packet may have
             // been purged, rerouted, or interleaved with foreign
             // flits. If the owner cannot supply the locked packet this
             // cycle, abandon the lock and let the remaining flits flow
             // flit-wise (delivery is count-based).
-            const int p = lockOwner_[o];
-            if (!(head[p] && out_of[p] == o &&
-                  head[p]->packet == lockPacket_[o])) {
-                lockOwner_[o] = -1;
-                lockPacket_[o] = kInvalidPacket;
-            }
+            const int p = locks_.owner(o);
+            if (!locks_.supplies(o, head[p] ? &*head[p] : nullptr,
+                                 out_of[p]))
+                locks_.release(o);
         }
 
         // Switch-Fast mask for this cycle: a wormhole lock pins the
         // mask to the owner; otherwise last cycle's reservation (if
         // any) selects a single input; otherwise fully open.
         RequestMask fast_mask;
-        if (lockOwner_[o] >= 0)
-            fast_mask = maskBit(lockOwner_[o]);
+        if (locks_.held(o))
+            fast_mask = maskBit(locks_.owner(o));
         else if (reserved_[o] >= 0)
             fast_mask = maskBit(reserved_[o]);
         else
@@ -138,8 +114,8 @@ SpecRouter::evaluate(Cycle now)
         int success = -1;
         if (fanin == 1) {
             success = std::countr_zero(drivers);
-            if (lockOwner_[o] >= 0) {
-                NOX_ASSERT(head[success]->packet == lockPacket_[o],
+            if (locks_.held(o)) {
+                NOX_ASSERT(head[success]->packet == locks_.packet(o),
                            "foreign flit inside locked wormhole");
             }
             traverse(success, o);
@@ -155,7 +131,7 @@ SpecRouter::evaluate(Cycle now)
         // Reservation is single-use; recomputed below by Switch Next.
         reserved_[o] = -1;
 
-        if (lockOwner_[o] >= 0) {
+        if (locks_.held(o)) {
             // Multi-flit transmission in progress (the traverse above
             // may have just set or cleared the lock): all other
             // requests are masked from arbitration.
@@ -189,7 +165,8 @@ SpecRouter::evaluate(Cycle now)
         }
     }
 
-    prevHeadPacket_ = head_packet_at_start;
+    for (int p = 0; p < ports; ++p)
+        prevHeadPacket_[p] = head[p] ? head[p]->packet : kInvalidPacket;
 }
 
 bool
@@ -197,10 +174,6 @@ SpecRouter::quiescent() const
 {
     if (!Router::quiescent())
         return false;
-    for (int owner : lockOwner_) {
-        if (owner >= 0)
-            return false;
-    }
     for (int r : reserved_) {
         if (r >= 0)
             return false;
@@ -213,42 +186,10 @@ SpecRouter::quiescent() const
 }
 
 void
-SpecRouter::traverse(int in_port, int out_port)
-{
-    WireFlit w = in_[in_port].pop();
-    const FlitDesc &d = w.parts.front();
-    energy_.bufferReads += 1;
-    energy_.xbarInputDrives += 1;
-    returnCredit(in_port);
-
-    if (d.isHead() && !d.isTail()) {
-        lockOwner_[out_port] = in_port;
-        lockPacket_[out_port] = d.packet;
-    } else if (d.isTail() &&
-               (lockOwner_[out_port] < 0 ||
-                lockPacket_[out_port] == d.packet)) {
-        // The packet-match guard only matters in degraded mode, where
-        // a lock-free tail must not clear another packet's lock.
-        lockOwner_[out_port] = -1;
-        lockPacket_[out_port] = kInvalidPacket;
-    }
-
-    sendFlit(out_port, std::move(w));
-}
-
-void
 SpecRouter::onTableRebuild()
 {
     Router::onTableRebuild();
-    std::fill(lockOwner_.begin(), lockOwner_.end(), -1);
-    std::fill(lockPacket_.begin(), lockPacket_.end(), kInvalidPacket);
     std::fill(reserved_.begin(), reserved_.end(), -1);
-}
-
-void
-SpecRouter::debugPerturb()
-{
-    arb_[0]->perturb();
 }
 
 template <class Ar, class Self>
@@ -263,13 +204,7 @@ SpecRouter::walk(Ar &ar, Self &self, snap::Scope scope)
         ar.check(v >= -1 && v < self.numPorts(),
                  "switch reservation out of range");
     }
-    for (auto &o : self.lockOwner_) {
-        ar(o);
-        ar.check(o >= -1 && o < self.numPorts(),
-                 "wormhole lock owner out of range");
-    }
-    for (auto &p : self.lockPacket_)
-        ar(p);
+    WormholeLocks::walk(ar, self.locks_);
     for (auto &p : self.prevHeadPacket_)
         ar(p);
 }

@@ -24,7 +24,6 @@
 #ifndef NOX_ROUTERS_SPEC_ROUTER_HPP
 #define NOX_ROUTERS_SPEC_ROUTER_HPP
 
-#include <memory>
 #include <vector>
 
 #include "noc/router.hpp"
@@ -49,7 +48,7 @@ class SpecRouter : public Router
     void evaluate(Cycle now) override;
 
     /**
-     * Quiescent iff base state is idle, no wormhole is open, no
+     * Quiescent iff base state is idle (no wormhole open), no
      * reservation is pending, and the previous-head registers have
      * settled to invalid (the Spec-Fast newly-exposed rule reads
      * them, so retiring the router with a stale entry would mask a
@@ -57,17 +56,14 @@ class SpecRouter : public Router
      */
     bool quiescent() const override;
 
-    /** Drop wormhole locks and pending reservations after a mid-run
-     *  routing-table rebuild. */
+    /** Drop pending reservations (and, in the base, wormhole locks)
+     *  after a mid-run routing-table rebuild. */
     void onTableRebuild() override;
 
     Variant variant() const { return variant_; }
 
     /** Reserved input for the next cycle on @p port (-1 = open). */
     int reservation(int port) const { return reserved_[port]; }
-
-    /** Input currently owning output @p port mid-packet (-1 = none). */
-    int lockOwner(int port) const { return lockOwner_[port]; }
 
     void
     serialize(snap::Writer &w, snap::Scope scope) const override
@@ -76,33 +72,19 @@ class SpecRouter : public Router
     }
     void restore(snap::Reader &r) override { walk(r, *this); }
 
-    void debugPerturb() override;
-
   private:
     template <class Ar, class Self>
     static void walk(Ar &ar, Self &self,
                      snap::Scope scope = snap::Scope::Snapshot);
 
-    void traverse(int in_port, int out_port);
-
     Variant variant_;
-    std::vector<std::unique_ptr<Arbiter>> arb_;
 
     /** Switch-Fast reservation for the *current* cycle (-1 = open). */
     std::vector<int> reserved_;
 
-    /** Wormhole multi-flit exclusive ownership. */
-    std::vector<int> lockOwner_;
-    std::vector<PacketId> lockPacket_;
-
     /** Head packet at each input at the start of the previous cycle
      *  (0 = FIFO was empty) — drives the newly-exposed rule. */
     std::vector<PacketId> prevHeadPacket_;
-
-    // Per-evaluate scratch (reused across cycles, see evaluate()).
-    std::vector<std::optional<FlitDesc>> scratchHead_;
-    std::vector<int> scratchOut_;
-    std::vector<PacketId> scratchHeadPacket_;
 };
 
 } // namespace nox

@@ -1,6 +1,5 @@
 #include "routers/vc_router.hpp"
 
-#include <algorithm>
 #include <bit>
 
 #include "common/log.hpp"
@@ -11,13 +10,13 @@
 namespace nox {
 
 VcRouter::VcRouter(NodeId id, const Mesh &mesh, const RoutingTable &table,
-                   const RouterParams &params, int vc_count)
-    : Router(id, mesh, table, params), vcs_(vc_count)
+                   const RouterParams &params)
+    : Router(id, mesh, table, params), vcs_(params.vcCount)
 {
-    NOX_ASSERT(vc_count >= 1 && vc_count <= 8, "bad VC count");
+    NOX_ASSERT(vcs_ >= 1 && vcs_ <= 8, "bad VC count");
     const std::size_t slots =
         static_cast<std::size_t>(params.numPorts) *
-        static_cast<std::size_t>(vc_count);
+        static_cast<std::size_t>(vcs_);
     vcIn_.reserve(slots);
     for (std::size_t i = 0; i < slots; ++i)
         vcIn_.emplace_back(
@@ -27,16 +26,9 @@ VcRouter::VcRouter(NodeId id, const Mesh &mesh, const RoutingTable &table,
     vcCredits_.assign(slots, params.bufferDepth);
     stagedVcCredits_.assign(slots, 0);
     vcCreditsLost_.assign(slots, 0);
-    lockOwner_.assign(slots, -1);
-    lockPacket_.assign(slots, kInvalidPacket);
-
-    outArb_.resize(static_cast<std::size_t>(params.numPorts));
     vcArb_.resize(static_cast<std::size_t>(params.numPorts));
-    for (int p = 0; p < params.numPorts; ++p) {
-        outArb_[static_cast<std::size_t>(p)] = makeArbiter();
-        vcArb_[static_cast<std::size_t>(p)] =
-            std::make_unique<RoundRobinArbiter>(vc_count);
-    }
+    for (auto &a : vcArb_)
+        a = std::make_unique<RoundRobinArbiter>(vcs_);
 }
 
 void
@@ -122,10 +114,6 @@ VcRouter::quiescent() const
         if (lost != 0)
             return false; // the watchdog still owes this lane credits
     }
-    for (int owner : lockOwner_) {
-        if (owner >= 0)
-            return false;
-    }
     return true;
 }
 
@@ -141,8 +129,6 @@ VcRouter::killOutput(int out_port, std::vector<FlitDesc> &lost)
         vcCredits_[lane] = 0;
         stagedVcCredits_[lane] = 0;
         vcCreditsLost_[lane] = 0;
-        lockOwner_[lane] = -1;
-        lockPacket_[lane] = kInvalidPacket;
     }
 }
 
@@ -180,22 +166,13 @@ VcRouter::purgeFlits(const FlitCondemned &condemned,
 void
 VcRouter::onOutputRevived(int out_port)
 {
+    Router::onOutputRevived(out_port);
     for (int v = 0; v < vcs_; ++v) {
         const std::size_t lane = index(out_port, v);
         vcCredits_[lane] = params_.bufferDepth;
         stagedVcCredits_[lane] = 0;
         vcCreditsLost_[lane] = 0;
-        lockOwner_[lane] = -1;
-        lockPacket_[lane] = kInvalidPacket;
     }
-}
-
-void
-VcRouter::onTableRebuild()
-{
-    Router::onTableRebuild();
-    std::fill(lockOwner_.begin(), lockOwner_.end(), -1);
-    std::fill(lockPacket_.begin(), lockPacket_.end(), kInvalidPacket);
 }
 
 void
@@ -224,20 +201,16 @@ VcRouter::evaluate(Cycle now)
         // count-based, so intact packets still complete).
         for (int o = 0; o < ports; ++o) {
             for (int v = 0; v < vcs_; ++v) {
-                const std::size_t lane = index(o, v);
-                const int p = lockOwner_[lane];
-                if (p < 0)
+                const int lane = static_cast<int>(index(o, v));
+                if (!locks_.held(lane))
                     continue;
-                const FlitFifo &fifo = vcIn_[index(p, v)];
-                const bool supplied =
-                    !fifo.empty() &&
-                    fifo.front().parts.front().packet ==
-                        lockPacket_[lane] &&
-                    routeOf(fifo.front().parts.front()) == o;
-                if (!supplied) {
-                    lockOwner_[lane] = -1;
-                    lockPacket_[lane] = kInvalidPacket;
-                }
+                const FlitFifo &fifo =
+                    vcIn_[index(locks_.owner(lane), v)];
+                const FlitDesc *head =
+                    fifo.empty() ? nullptr : &fifo.front().parts.front();
+                if (!locks_.supplies(lane, head,
+                                     head ? routeOf(*head) : -1))
+                    locks_.release(lane);
             }
         }
     }
@@ -259,7 +232,7 @@ VcRouter::evaluate(Cycle now)
             const int o = routeOf(d);
             // Wormhole: mid-packet, only the owner input may use the
             // (o, v) lane; heads must find it unlocked.
-            const int owner = lockOwner_[index(o, v)];
+            const int owner = lockOwner(o, v);
             if (owner >= 0 && owner != p) {
                 provStall(d, LatencyComponent::ArbLoss, now);
                 continue;
@@ -308,7 +281,7 @@ VcRouter::evaluate(Cycle now)
         if (!requests)
             continue;
         const int winner =
-            outArb_[static_cast<std::size_t>(o)]->grant(requests);
+            arb_[static_cast<std::size_t>(o)]->grant(requests);
         energy_.arbDecisions += 1;
         trace(TraceEventKind::Arbitrate, o,
               static_cast<std::uint64_t>(winner),
@@ -340,30 +313,14 @@ VcRouter::traverse(int in_port, int vc, int out_port, Cycle now)
     returnVcCredit(in_port, vc);
 
     const std::size_t lane = index(out_port, vc);
-    if (d.isHead() && !d.isTail()) {
-        lockOwner_[lane] = in_port;
-        lockPacket_[lane] = d.packet;
-    } else if (d.isTail()) {
-        // The packet-match guard only matters in degraded mode, where
-        // a lock-free tail must not clear another packet's lock.
-        if (lockOwner_[lane] < 0 || lockPacket_[lane] == d.packet) {
-            lockOwner_[lane] = -1;
-            lockPacket_[lane] = kInvalidPacket;
-        }
-    } else {
-        NOX_ASSERT(degraded_ || lockPacket_[lane] == d.packet,
-                   "foreign body inside VC wormhole");
-    }
+    NOX_ASSERT(d.isHead() || d.isTail() || degraded_ ||
+                   locks_.packet(static_cast<int>(lane)) == d.packet,
+               "foreign body inside VC wormhole");
+    locks_.update(static_cast<int>(lane), in_port, d);
 
     NOX_ASSERT(vcCredits_[lane] > 0, "VC credit underflow");
     --vcCredits_[lane];
     dispatchFlit(out_port, std::move(w));
-}
-
-void
-VcRouter::debugPerturb()
-{
-    outArb_[0]->perturb();
 }
 
 template <class Ar, class Self>
@@ -381,14 +338,8 @@ VcRouter::walk(Ar &ar, Self &self, snap::Scope scope)
         ar(c);
     for (auto &c : self.vcCreditsLost_)
         ar(c);
-    for (auto &o : self.lockOwner_) {
-        ar(o);
-        ar.check(o >= -1 && o < self.numPorts(),
-                 "wormhole lock owner out of range");
-    }
-    for (auto &p : self.lockPacket_)
-        ar(p);
-    for (auto &a : self.outArb_)
+    WormholeLocks::walk(ar, self.locks_);
+    for (auto &a : self.arb_)
         ar(*a);
     for (auto &a : self.vcArb_)
         ar(*a);

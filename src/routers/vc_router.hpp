@@ -22,7 +22,8 @@
  *    VCs with eligible heads, then each output round-robins across
  *    input ports; one flit per output per cycle (single crossbar).
  *
- * Wormhole locks are per (output, vc): a blocked packet on one VC
+ * Wormhole locks are per (output, vc) lane of the base's lock table
+ * (lane = index(out_port, vc)): a blocked packet on one VC
  * does not prevent the other VC from using the same physical link —
  * the property that makes VCs an alternative to physical channels.
  */
@@ -41,15 +42,14 @@ namespace nox {
 class VcRouter : public Router
 {
   public:
+    /** @p params.vcCount virtual channels per input port. */
     VcRouter(NodeId id, const Mesh &mesh, const RoutingTable &table,
-             const RouterParams &params, int vc_count);
+             const RouterParams &params);
 
     RouterArch arch() const override
     {
         return RouterArch::NonSpeculative;
     }
-
-    int vcCount() const override { return vcs_; }
 
     void evaluate(Cycle now) override;
     void commit() override;
@@ -58,13 +58,12 @@ class VcRouter : public Router
     /** Base retry handling plus the per-VC credit watchdog. */
     void evaluateLink(Cycle now) override;
 
-    /** Quiescent iff base state is idle and every per-VC buffer,
-     *  staged credit and wormhole lane is empty/closed. */
+    /** Quiescent iff base state is idle (no wormhole lane held) and
+     *  every per-VC buffer and staged credit is empty. */
     bool quiescent() const override;
 
-    /** Base teardown plus zeroing the dead output's per-VC credit
-     *  books and clearing its wormhole lanes (a stale lock on a dead
-     *  link would block quiescence forever). */
+    /** Base teardown (which also clears the dead output's wormhole
+     *  lanes) plus zeroing its per-VC credit books. */
     void killOutput(int out_port, std::vector<FlitDesc> &lost) override;
 
     /** Per-lane purge: condemned flits are removed from every VC
@@ -73,12 +72,10 @@ class VcRouter : public Router
     void purgeFlits(const FlitCondemned &condemned,
                     std::vector<FlitDesc> &removed) override;
 
-    /** Clear every wormhole lane after a mid-run table rebuild. */
-    void onTableRebuild() override;
-
     /** Refill the revived output's per-VC credit lanes to the full
-     *  buffer depth and clear its staged/owed books and lanes — the
-     *  same state construction gives a fresh output. */
+     *  buffer depth and clear its staged/owed books (the base clears
+     *  its lanes) — the same state construction gives a fresh
+     *  output. */
     void onOutputRevived(int out_port) override;
 
     // Introspection (tests).
@@ -90,10 +87,6 @@ class VcRouter : public Router
     {
         return vcCredits_[index(out_port, vc)];
     }
-    int lockOwner(int out_port, int vc) const
-    {
-        return lockOwner_[index(out_port, vc)];
-    }
 
     void
     serialize(snap::Writer &w, snap::Scope scope) const override
@@ -101,8 +94,6 @@ class VcRouter : public Router
         walk(w, *this, scope);
     }
     void restore(snap::Reader &r) override { walk(r, *this); }
-
-    void debugPerturb() override;
 
   protected:
     /** A flushed retry entry refunds the credit of its own VC lane. */
@@ -136,9 +127,6 @@ class VcRouter : public Router
     std::vector<int> vcCreditsLost_;    ///< [out_port][vc] credits the
                                         ///< injector swallowed, owed
                                         ///< by the watchdog
-    std::vector<int> lockOwner_;        ///< [out_port][vc] input or -1
-    std::vector<PacketId> lockPacket_;  ///< [out_port][vc]
-    std::vector<std::unique_ptr<Arbiter>> outArb_; ///< per output
     std::vector<std::unique_ptr<Arbiter>> vcArb_;  ///< per input
 
     /** Stage-1 winner of one input port (see evaluate()). */

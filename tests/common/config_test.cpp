@@ -157,6 +157,41 @@ TEST(ConfigDeathTest, NegativeUnsignedDies)
                 "'measure' is not an unsigned integer");
 }
 
+TEST(ConfigDeathTest, TrailingCharactersDieNamingTheKey)
+{
+    Config c;
+    c.set("width", std::string("4x"));
+    c.set("measure", std::string("12abc"));
+    c.set("rate_mbps", std::string("500abc"));
+    c.set("warmup", std::string("1e3"));
+    c.set("loads", std::string("0.05,0.3x"));
+    EXPECT_EXIT((void)c.getInt("width"), ::testing::ExitedWithCode(1),
+                "'width' is not an integer: '4x'");
+    EXPECT_EXIT((void)c.getUint("measure"), ::testing::ExitedWithCode(1),
+                "'measure' is not an unsigned integer: '12abc'");
+    EXPECT_EXIT((void)c.getDouble("rate_mbps"),
+                ::testing::ExitedWithCode(1),
+                "'rate_mbps' is not a number: '500abc'");
+    EXPECT_EXIT((void)c.getUint("warmup"), ::testing::ExitedWithCode(1),
+                "'warmup' is not an unsigned integer: '1e3'");
+    EXPECT_EXIT((void)c.getDoubleList("loads"),
+                ::testing::ExitedWithCode(1),
+                "'loads' has a non-numeric element: '0.3x'");
+}
+
+TEST(Config, WholeNumbersStillParse)
+{
+    Config c;
+    c.set("i", std::string("-12"));
+    c.set("u", std::string("18446744073709551615"));
+    c.set("d", std::string("1e-4"));
+    c.set("l", std::string("0.05, 0.30,1"));
+    EXPECT_EQ(c.getInt("i"), -12);
+    EXPECT_EQ(c.getUint("u"), ~std::uint64_t{0});
+    EXPECT_DOUBLE_EQ(c.getDouble("d"), 1e-4);
+    EXPECT_EQ(c.getDoubleList("l"), (std::vector<double>{0.05, 0.30, 1}));
+}
+
 TEST(ConfigDeathTest, BadBoolDies)
 {
     Config c;

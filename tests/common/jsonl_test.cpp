@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/jsonl.hpp"
+#include "common/parse.hpp"
 
 namespace nox {
 namespace {
@@ -77,9 +78,9 @@ TEST(Jsonl, ArraysOfStringsAndNumbers)
     EXPECT_TRUE(items.empty());
     EXPECT_FALSE(jsonl::find(R"({"h": ["a", "b")", "h", items));
     std::int64_t v = 0;
-    EXPECT_TRUE(jsonl::parse("14", v));
+    EXPECT_TRUE(parseWhole("14", v));
     EXPECT_EQ(v, 14);
-    EXPECT_FALSE(jsonl::parse("14x", v));
+    EXPECT_FALSE(parseWhole("14x", v));
 }
 
 } // namespace

@@ -328,6 +328,28 @@ TEST(ArenaGrowthPath, CollisionSpillBitIdenticalAcrossKernels)
         << "kernels diverged on the arena-growth path";
 }
 
+TEST(IdenticalStats, EveryWalkedFieldCounts)
+{
+    // The predicates compare snapshot-walk bytes: a difference in any
+    // walked field — a fault counter, a latency accumulator, the
+    // histogram — breaks equality.
+    const NetworkStats base;
+    EXPECT_TRUE(identicalStats(base, NetworkStats{}));
+    NetworkStats a;
+    a.faults.ageAlarms = 1;
+    EXPECT_FALSE(a.faults.identicalTo(base.faults));
+    EXPECT_FALSE(identicalStats(a, base));
+    NetworkStats b;
+    b.latencyByClass[2].add(3.0);
+    EXPECT_FALSE(identicalStats(b, base));
+    NetworkStats c;
+    c.latencyHist.add(5.0);
+    EXPECT_FALSE(identicalStats(c, base));
+    NetworkStats d;
+    d.maxSourceQueueFlits = 7;
+    EXPECT_FALSE(identicalStats(d, base));
+}
+
 TEST(ActivityKernel, IdleNetworkRetiresEverything)
 {
     NetworkParams params;

@@ -1,5 +1,6 @@
 /** @file Tests for the Router base-class plumbing: wiring, staging,
- *  credits and two-phase commit discipline. */
+ *  credits, two-phase commit discipline and the shared wormhole lock
+ *  table. */
 
 #include <gtest/gtest.h>
 
@@ -162,6 +163,102 @@ TEST(RouterBase, EvaluationOrderIndependence)
         }
         EXPECT_EQ(flits[0], flits[1]);
         EXPECT_DOUBLE_EQ(lat[0], lat[1]);
+    }
+}
+
+/** Flit @p seq of a @p size -flit packet @p p. */
+FlitDesc
+flitOf(PacketId p, int seq, int size, NodeId dest = 1)
+{
+    FlitDesc d = flitTo(dest, p);
+    d.uid = flitUid(p, static_cast<std::uint32_t>(seq));
+    d.seq = static_cast<std::uint32_t>(seq);
+    d.packetSize = static_cast<std::uint32_t>(size);
+    d.payload = expectedPayload(p, static_cast<std::uint32_t>(seq));
+    return d;
+}
+
+TEST(WormholeLocks, HeadAcquiresBodyKeepsOwnTailReleases)
+{
+    WormholeLocks locks(5, 1);
+    EXPECT_FALSE(locks.anyHeld());
+    locks.update(kPortEast, kPortSouth, flitOf(7, 0, 3));
+    EXPECT_TRUE(locks.held(kPortEast));
+    EXPECT_EQ(locks.owner(kPortEast), kPortSouth);
+    EXPECT_EQ(locks.packet(kPortEast), 7u);
+    EXPECT_TRUE(locks.anyHeld());
+
+    locks.update(kPortEast, kPortSouth, flitOf(7, 1, 3));
+    EXPECT_EQ(locks.owner(kPortEast), kPortSouth) << "body keeps it";
+
+    locks.update(kPortEast, kPortSouth, flitOf(7, 2, 3));
+    EXPECT_FALSE(locks.held(kPortEast)) << "own tail releases it";
+    EXPECT_EQ(locks.packet(kPortEast), kInvalidPacket);
+    EXPECT_FALSE(locks.anyHeld());
+
+    // A single-flit packet is head and tail at once: no lock.
+    locks.update(kPortEast, kPortSouth, flitOf(8, 0, 1));
+    EXPECT_FALSE(locks.held(kPortEast));
+}
+
+TEST(WormholeLocks, ForeignTailDoesNotRelease)
+{
+    // Degraded mode: a lock-free tail of another packet reaches the
+    // locked output through a different input.
+    WormholeLocks locks(5, 1);
+    locks.update(kPortEast, kPortSouth, flitOf(7, 0, 3));
+    locks.update(kPortEast, kPortWest, flitOf(9, 2, 3));
+    EXPECT_EQ(locks.owner(kPortEast), kPortSouth);
+    EXPECT_EQ(locks.packet(kPortEast), 7u);
+}
+
+TEST(WormholeLocks, SuppliesOnlyTheLockedPacketOnItsOutput)
+{
+    WormholeLocks locks(5, 1);
+    locks.update(kPortEast, kPortSouth, flitOf(7, 0, 3));
+    const FlitDesc body = flitOf(7, 1, 3);
+    const FlitDesc other = flitOf(9, 0, 3);
+    EXPECT_TRUE(locks.supplies(kPortEast, &body, kPortEast));
+    EXPECT_FALSE(locks.supplies(kPortEast, &other, kPortEast))
+        << "owner's head is a different packet";
+    EXPECT_FALSE(locks.supplies(kPortEast, &body, kPortNorth))
+        << "owner's head routes to another output";
+    EXPECT_FALSE(locks.supplies(kPortEast, &body, -1))
+        << "owner's head requests nothing";
+    EXPECT_FALSE(locks.supplies(kPortEast, nullptr, -1))
+        << "owner's input is empty";
+}
+
+TEST(WormholeLocks, LanesAreIndexedByOutputAndVc)
+{
+    WormholeLocks locks(5, 2);
+    const int lane = kPortEast * 2 + 1;
+    locks.update(lane, kPortSouth, flitOf(7, 0, 3));
+    EXPECT_FALSE(locks.held(kPortEast * 2)) << "other VC untouched";
+    const FlitDesc body = flitOf(7, 1, 3);
+    EXPECT_TRUE(locks.supplies(lane, &body, kPortEast));
+    locks.clearOutput(kPortNorth);
+    EXPECT_TRUE(locks.held(lane)) << "other output untouched";
+    locks.clearOutput(kPortEast);
+    EXPECT_FALSE(locks.anyHeld());
+}
+
+TEST(RouterBase, HeldLockKeepsRouterLiveUntilRebuild)
+{
+    for (RouterArch arch : kAllArchs) {
+        auto net = mesh2x2(arch);
+        Router &r = net->router(0);
+        // The head of a 3-flit packet 0 -> 1 crosses 0's East output
+        // and locks it; the body flits never arrive.
+        r.stageFlit(kPortLocal, WireFlit::fromDesc(flitOf(7, 0, 3)));
+        r.commit();
+        r.evaluate(0);
+        EXPECT_EQ(r.lockOwner(kPortEast), kPortLocal)
+            << archName(arch);
+        r.commit();
+        EXPECT_FALSE(r.quiescent()) << "a held lock keeps it live";
+        r.onTableRebuild();
+        EXPECT_EQ(r.lockOwner(kPortEast), -1) << "a rebuild clears it";
     }
 }
 

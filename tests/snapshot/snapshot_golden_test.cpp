@@ -1,7 +1,8 @@
 /**
  * @file
- * Format stability: committed snapshot images must restore and
- * re-capture byte for byte.
+ * Format and behaviour stability: committed snapshot images must
+ * restore and re-capture byte for byte, and a fresh run of the same
+ * network must reproduce them exactly.
  *
  * tests/snapshot/golden/ holds one small image per router
  * architecture (plus a virtual-channel one) of the full-state network
@@ -9,6 +10,10 @@
  * snapshot layout is a data format, so a change that moves, widens or
  * drops a field anywhere breaks the byte comparison here even when a
  * capture/restore round trip within one build stays self-consistent.
+ * The fresh-run comparison pins router behaviour as well: the images
+ * are captured mid-churn (routers in degraded mode) under multi-flit
+ * traffic (wormhole locks held), so a refactor that changes any
+ * arbitration or lock decision changes the bytes.
  *
  * The images are regenerated only on a deliberate format change
  * (together with a kSnapshotVersion bump): run this test binary with
@@ -113,6 +118,25 @@ TEST_P(SnapshotGolden, RestoreRecapturesIdenticalBytes)
 
     // The restored network must also keep running.
     net->run(200);
+}
+
+TEST_P(SnapshotGolden, FreshRunReproducesImage)
+{
+    const GoldenCase &c = GetParam();
+    if (std::getenv("NOX_SNAPSHOT_GOLDEN_WRITE") != nullptr)
+        GTEST_SKIP() << "golden images are being rewritten";
+
+    const std::vector<std::uint8_t> golden =
+        snap::readFileBytes(goldenPath(c));
+    auto net = buildFullStateNetwork(c.arch, c.mode, c.vcCount);
+    net->run(kFullStateMidChurn);
+    const std::vector<std::uint8_t> fresh = capture(*net);
+    ASSERT_EQ(fresh.size(), golden.size())
+        << c.name << ": a fresh run changed the image size";
+    for (std::size_t i = 0; i < golden.size(); ++i) {
+        ASSERT_EQ(fresh[i], golden[i])
+            << c.name << ": a fresh run differs at byte " << i;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
